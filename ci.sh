@@ -13,7 +13,12 @@
 #                         throughput, and the out-of-core explosion
 #                         conversion and fail if they regress past the
 #                         tolerances in BENCH_setops.json /
-#                         BENCH_regex.json / BENCH_explosion.json
+#                         BENCH_regex.json / BENCH_explosion.json; then
+#                         run perfbench's own tests and a 3 s
+#                         cold_compile perfbench run, which fails unless
+#                         its result line reports "correct":true and
+#                         "failed":0 (every compiled program matched the
+#                         benchmark's reference check)
 #   ./ci.sh serve-smoke   additionally boot the real `mscc serve` daemon
 #                         on an ephemeral port, drive every endpoint over
 #                         TCP with `loadgen --smoke` (including /match
@@ -107,6 +112,19 @@ if [ "$MODE" = "bench-smoke" ]; then
     cargo run --release -p msc-bench --bin claims -- regex --check
     echo "== bench regression gate: explosion --check =="
     cargo run --release -p msc-bench --bin claims -- explosion --check
+    echo "== perfbench: tests =="
+    cargo test --manifest-path perfbench/Cargo.toml
+    echo "== perfbench smoke: cold_compile, 3 s, reference-checked =="
+    # perfbench checks every compiled program against its reference; a
+    # code-generation change that breaks that check fails here rather
+    # than in a full benchmark run.
+    PERF_RESULT="$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload cold_compile --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+    echo "$PERF_RESULT"
+    if ! grep -q '"correct":true' <<<"$PERF_RESULT" || ! grep -q '"failed":0,' <<<"$PERF_RESULT"; then
+        echo "perfbench smoke: cold_compile result is not correct with zero failures" >&2
+        exit 1
+    fi
 fi
 
 if [ "$MODE" = "serve-smoke" ]; then

@@ -278,6 +278,35 @@ mod tests {
         }
     }
 
+    /// `generate` memoizes the dispatch hash search by key set; every
+    /// hashed dispatch must still equal a fresh search on its own keys.
+    /// branchy_6 repeats key sets, so memo hits are among those checked.
+    #[test]
+    fn memoized_dispatch_hashes_equal_fresh_searches() {
+        let p = msc_lang::compile(&branchy_source(6)).unwrap();
+        let auto = convert(&p.graph, &ConvertOptions::base()).unwrap();
+        let opts = msc_codegen::GenOptions::default();
+        let prog =
+            msc_codegen::generate(&auto, p.layout.poly_words, p.layout.mono_words, &opts).unwrap();
+        let mut keysets = std::collections::HashSet::new();
+        let mut hashed = 0;
+        for block in &prog.blocks {
+            if let msc_simd::Dispatch::Hashed { hash, .. } = &block.dispatch {
+                let fresh = msc_hash::find_hash_with(&hash.keys, opts.hash_search).unwrap();
+                assert_eq!(*hash, fresh, "dispatch of {}", block.name);
+                let mut keys = hash.keys.clone();
+                keys.sort_unstable();
+                keysets.insert(keys);
+                hashed += 1;
+            }
+        }
+        assert!(
+            keysets.len() < hashed,
+            "{hashed} dispatches, {} key sets",
+            keysets.len()
+        );
+    }
+
     #[test]
     fn imbalanced_source_compiles_with_expected_costs() {
         let p = msc_lang::compile(&imbalanced_source(5, 100)).unwrap();

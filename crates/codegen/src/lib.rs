@@ -24,9 +24,10 @@ pub mod render;
 
 use msc_core::{MetaAutomaton, MetaId};
 use msc_csi::{CsiError, CsiOptions};
-use msc_hash::{HashError, SearchOptions};
+use msc_hash::{HashError, HashExpr, PerfectHash, SearchOptions};
 use msc_ir::{CostModel, Op, StateId, Terminator};
 use msc_simd::{BlockId, Dispatch, GuardedInstr, MetaBlock, SimdInstr, SimdProgram};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Options controlling code generation.
@@ -133,25 +134,25 @@ pub fn generate(
 ) -> Result<SimdProgram, GenError> {
     let graph = &auto.graph;
     let mut blocks = Vec::with_capacity(auto.len());
+    let barriers: Vec<StateId> = graph.ids().filter(|&s| graph.state(s).barrier).collect();
+    let mut hashes = HashMap::new();
+    let csi_opts = CsiOptions {
+        costs: opts.costs.clone(),
+        ..Default::default()
+    };
 
     for (mi, set) in auto.sets.iter().enumerate() {
         let meta = MetaId(mi as u32);
         let members: Vec<StateId> = set.iter().collect();
 
         // §3.1: the member bodies are the threads of a CSI problem.
-        let threads: Vec<Vec<Op>> = members
+        let threads: Vec<&[Op]> = members
             .iter()
-            .map(|&m| graph.state(m).ops.clone())
+            .map(|&m| graph.state(m).ops.as_slice())
             .collect();
         let mut body: Vec<GuardedInstr> = Vec::new();
         if opts.csi {
-            let schedule = msc_csi::induce_with(
-                &threads,
-                &CsiOptions {
-                    costs: opts.costs.clone(),
-                    ..Default::default()
-                },
-            )?;
+            let schedule = msc_csi::induce_with(&threads, &csi_opts)?;
             for slot in schedule.slots {
                 let guard: Vec<StateId> = members
                     .iter()
@@ -166,7 +167,7 @@ pub fn generate(
             }
         } else {
             for (t, thread) in threads.iter().enumerate() {
-                for op in thread {
+                for op in *thread {
                     body.push(GuardedInstr {
                         guard: vec![members[t]],
                         instr: SimdInstr::Op(op.clone()),
@@ -200,7 +201,7 @@ pub fn generate(
             body.push(GuardedInstr { guard, instr });
         }
 
-        let dispatch = build_dispatch(auto, meta, opts)?;
+        let dispatch = build_dispatch(auto, meta, &barriers, &mut hashes, opts)?;
         blocks.push(MetaBlock {
             members: members.clone(),
             name: meta_name(&members),
@@ -222,9 +223,14 @@ pub fn generate(
 }
 
 /// Build the §3.2 exit encoding for one meta state.
+///
+/// `barriers` lists every barrier state of the graph; `hashes` memoizes
+/// the hash search across the dispatches of one [`generate`] call.
 fn build_dispatch(
     auto: &MetaAutomaton,
     meta: MetaId,
+    barriers: &[StateId],
+    hashes: &mut HashMap<Vec<u64>, HashExpr>,
     opts: &GenOptions,
 ) -> Result<Dispatch, GenError> {
     let succs = auto.successors(meta);
@@ -271,46 +277,36 @@ fn build_dispatch(
             // Possible pc values at this dispatch: every member's graph
             // successors, every successor meta's members, and any barrier
             // state (lingering waiters keep their pc).
-            let mut possible: Vec<StateId> = Vec::new();
-            let mut push = |s: StateId| {
-                if !possible.contains(&s) {
-                    possible.push(s);
-                }
-            };
-            for m in auto.members(meta).iter() {
-                for s in graph.state(m).term.successors() {
-                    push(s);
-                }
-            }
-            for &sm in succs {
-                for s in auto.members(sm).iter() {
-                    push(s);
-                }
-            }
-            for s in graph.ids() {
-                if graph.state(s).barrier {
-                    push(s);
-                }
-            }
+            let mut possible: Vec<StateId> = auto
+                .members(meta)
+                .iter()
+                .flat_map(|m| graph.state(m).term.successors())
+                .chain(succs.iter().flat_map(|&sm| auto.members(sm).iter()))
+                .chain(barriers.iter().copied())
+                .collect();
+            possible.sort_unstable();
+            possible.dedup();
             if possible.len() > 64 {
                 return Err(GenError::TooManyDispatchStates {
                     meta,
                     states: possible.len(),
                 });
             }
-            possible.sort_unstable();
             // When the whole graph fits in 64 states, use the paper's
-            // BIT(state) coding so rendered output matches Listing 5.
-            let bit_of: Vec<(StateId, u32)> = if graph.len() <= 64 {
-                possible.iter().map(|&s| (s, s.0)).collect()
-            } else {
-                possible
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| (s, i as u32))
-                    .collect()
+            // BIT(state) coding so rendered output matches Listing 5;
+            // otherwise a state's bit is its rank among the possible values.
+            let small = graph.len() <= 64;
+            let bit = |s: StateId| -> u32 {
+                if small {
+                    s.0
+                } else {
+                    possible
+                        .binary_search(&s)
+                        .expect("every aggregated state is a possible pc value")
+                        as u32
+                }
             };
-            let bit = |s: StateId| -> u32 { bit_of.iter().find(|(st, _)| *st == s).unwrap().1 };
+            let bit_of: Vec<(StateId, u32)> = possible.iter().map(|&s| (s, bit(s))).collect();
             let barrier_mask: u64 = possible
                 .iter()
                 .filter(|&&s| graph.state(s).barrier)
@@ -323,7 +319,7 @@ fn build_dispatch(
                         .fold(0u64, |k, s| k | (1u64 << bit(s)))
                 })
                 .collect();
-            let hash = msc_hash::find_hash_with(&keys, opts.hash_search)?;
+            let hash = find_hash_memoized(hashes, &keys, opts.hash_search)?;
             let targets: Vec<BlockId> = succs.iter().map(|&s| BlockId(s.0)).collect();
             Ok(Dispatch::Hashed {
                 bit_of,
@@ -333,6 +329,26 @@ fn build_dispatch(
             })
         }
     }
+}
+
+/// [`msc_hash::find_hash_with`], memoized in `hashes` by key set. The
+/// search result depends only on the set of keys (injectivity ignores
+/// their order), so a repeated set reuses its expression and only the
+/// jump table is rebuilt, in this dispatch's key order.
+fn find_hash_memoized(
+    hashes: &mut HashMap<Vec<u64>, HashExpr>,
+    keys: &[u64],
+    search: SearchOptions,
+) -> Result<PerfectHash, HashError> {
+    let mut sorted = keys.to_vec();
+    sorted.sort_unstable();
+    if let Some(&expr) = hashes.get(&sorted) {
+        return Ok(PerfectHash::build(keys, expr)
+            .expect("an expression injective on a key set is injective in any key order"));
+    }
+    let hash = msc_hash::find_hash_with(keys, search)?;
+    hashes.insert(sorted, hash.expr);
+    Ok(hash)
 }
 
 #[cfg(test)]
@@ -441,6 +457,22 @@ mod tests {
             .flat_map(|b| &b.body)
             .any(|gi| gi.guard.len() > 1 && matches!(gi.instr, SimdInstr::Op(_)));
         assert!(shared);
+    }
+
+    /// A memo hit reuses the expression but lays the table out in the
+    /// current dispatch's key order, exactly as a fresh search would.
+    #[test]
+    fn hash_memo_rebuilds_the_table_in_key_order() {
+        let search = SearchOptions::default();
+        let mut hashes = HashMap::new();
+        let first =
+            find_hash_memoized(&mut hashes, &[0b0100, 0b0100_0000, 0b0100_0100], search).unwrap();
+        let keys = [0b0100_0100, 0b0100, 0b0100_0000];
+        let hit = find_hash_memoized(&mut hashes, &keys, search).unwrap();
+        assert_eq!(hashes.len(), 1, "the second call is a memo hit");
+        assert_eq!(hit.expr, first.expr);
+        assert_ne!(hit.table, first.table);
+        assert_eq!(hit, msc_hash::find_hash_with(&keys, search).unwrap());
     }
 
     #[test]

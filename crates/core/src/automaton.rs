@@ -220,20 +220,18 @@ impl MetaAutomaton {
     /// ms_0 {0} -> {2},{6},{2,6}   <- start
     /// ```
     pub fn text(&self) -> String {
+        // Each set is rendered once, however often it is a successor.
+        let names: Vec<String> = self.sets.iter().map(StateSet::to_string).collect();
         let mut out = String::new();
-        for (i, set) in self.sets.iter().enumerate() {
+        for (i, name) in names.iter().enumerate() {
             let id = MetaId(i as u32);
-            let _ = write!(out, "{id} {set} ->");
+            let _ = write!(out, "{id} {name} ->");
             if self.succs[i].is_empty() {
-                let _ = write!(out, " end");
+                out.push_str(" end");
             } else {
                 for (k, s) in self.succs[i].iter().enumerate() {
-                    let _ = write!(
-                        out,
-                        "{}{}",
-                        if k == 0 { " " } else { "," },
-                        self.sets[s.idx()]
-                    );
+                    out.push_str(if k == 0 { " " } else { "," });
+                    out.push_str(&names[s.idx()]);
                 }
             }
             if id == self.start {
@@ -323,6 +321,33 @@ mod tests {
         let t = a.text();
         assert!(t.contains("ms_0 {0} -> {1}  <- start"));
         assert!(t.contains("ms_1 {1} -> end"));
+    }
+
+    /// `text()` of the paper's Listing 4 in base mode, pinned byte for
+    /// byte: engine artifacts and the disk cache store this text.
+    #[test]
+    fn listing4_base_text_is_pinned() {
+        let src = r#"
+            main() {
+                poly int x;
+                if (x) { do { x = 1; } while (x); }
+                else   { do { x = 2; } while (x); }
+                return(x);
+            }
+        "#;
+        let p = msc_lang::compile(src).unwrap();
+        let a = crate::convert(&p.graph, &crate::ConvertOptions::base()).unwrap();
+        assert_eq!(
+            a.text(),
+            "ms_0 {0} -> {2},{3},{2,3}  <- start\n\
+             ms_1 {2} -> {2},{1},{1,2}\n\
+             ms_2 {3} -> {3},{1},{1,3}\n\
+             ms_3 {2,3} -> {2,3},{1,2},{1,2,3},{1,3},{1}\n\
+             ms_4 {1} -> end\n\
+             ms_5 {1,2} -> {2},{1},{1,2}\n\
+             ms_6 {1,3} -> {3},{1},{1,3}\n\
+             ms_7 {1,2,3} -> {2,3},{1,2},{1,2,3},{1,3},{1}\n"
+        );
     }
 
     #[test]

@@ -158,7 +158,7 @@ pub fn induce(threads: &[Vec<Op>]) -> Result<Schedule, CsiError> {
 }
 
 /// Run CSI on the given thread op sequences (thread *t* guards bit *t*).
-pub fn induce_with(threads: &[Vec<Op>], opts: &CsiOptions) -> Result<Schedule, CsiError> {
+pub fn induce_with<T: AsRef<[Op]>>(threads: &[T], opts: &CsiOptions) -> Result<Schedule, CsiError> {
     if threads.len() > MAX_THREADS {
         return Err(CsiError::TooManyThreads(threads.len()));
     }
@@ -166,7 +166,7 @@ pub fn induce_with(threads: &[Vec<Op>], opts: &CsiOptions) -> Result<Schedule, C
     let lb = lower_bound(threads, costs);
     let naive = naive_cost(threads, costs);
 
-    if threads.iter().all(|t| t.is_empty()) {
+    if threads.iter().all(|t| t.as_ref().is_empty()) {
         return Ok(Schedule {
             slots: vec![],
             cost: 0,
@@ -178,13 +178,13 @@ pub fn induce_with(threads: &[Vec<Op>], opts: &CsiOptions) -> Result<Schedule, C
     // Three linear schedules: greedy list schedule, hierarchical pairwise
     // DP merge, and plain serialization (sharing can lose to serialization
     // once guard-switch costs are accounted, so serialization stays in the
-    // race). Each is improved, then the cheapest wins.
+    // race). Each is improved, then the cheapest wins (the first on ties).
     let candidates = [
         greedy_schedule(threads, costs),
         pairwise_merge_schedule(threads, costs),
         serial_schedule(threads),
     ];
-    let mut best: Option<Vec<Slot>> = None;
+    let mut best: Option<(u64, Vec<Slot>)> = None;
     for mut slots in candidates {
         // Cheap approximate search: fuse adjacent identical ops with
         // disjoint guards (missed sharing), then the permutation-in-range
@@ -196,17 +196,12 @@ pub fn induce_with(threads: &[Vec<Op>], opts: &CsiOptions) -> Result<Schedule, C
                 break;
             }
         }
-        if best
-            .as_ref()
-            .map(|b| schedule_cost(&slots, costs) < schedule_cost(b, costs))
-            .unwrap_or(true)
-        {
-            best = Some(slots);
+        let cost = schedule_cost(&slots, costs);
+        if best.as_ref().is_none_or(|(b, _)| cost < *b) {
+            best = Some((cost, slots));
         }
     }
-    let slots = best.unwrap_or_default();
-
-    let cost = schedule_cost(&slots, costs);
+    let (cost, slots) = best.unwrap_or_default();
     Ok(Schedule {
         slots,
         cost,
@@ -240,19 +235,19 @@ pub fn schedule_cost(slots: &[Slot], costs: &CostModel) -> u64 {
 ///   supersequence bound), so the per-op bound sums those.
 ///
 /// The returned bound is the max of the two plus one guard set-up.
-pub fn lower_bound(threads: &[Vec<Op>], costs: &CostModel) -> u64 {
+pub fn lower_bound<T: AsRef<[Op]>>(threads: &[T], costs: &CostModel) -> u64 {
     let per_thread = threads
         .iter()
-        .map(|t| costs.block_cost(t))
+        .map(|t| costs.block_cost(t.as_ref()))
         .max()
         .unwrap_or(0);
     let mut max_counts: FxHashMap<&Op, u64> = FxHashMap::default();
+    let mut counts: FxHashMap<&Op, u64> = FxHashMap::default();
     for t in threads {
-        let mut counts: FxHashMap<&Op, u64> = FxHashMap::default();
-        for op in t {
+        for op in t.as_ref() {
             *counts.entry(op).or_insert(0) += 1;
         }
-        for (op, c) in counts {
+        for (op, c) in counts.drain() {
             let e = max_counts.entry(op).or_insert(0);
             *e = (*e).max(c);
         }
@@ -271,9 +266,10 @@ pub fn lower_bound(threads: &[Vec<Op>], costs: &CostModel) -> u64 {
 
 /// Cost of running the threads fully serialized with no sharing — one
 /// guard region per non-empty thread.
-pub fn naive_cost(threads: &[Vec<Op>], costs: &CostModel) -> u64 {
+pub fn naive_cost<T: AsRef<[Op]>>(threads: &[T], costs: &CostModel) -> u64 {
     threads
         .iter()
+        .map(AsRef::as_ref)
         .filter(|t| !t.is_empty())
         .map(|t| costs.block_cost(t) + costs.guard_switch as u64)
         .sum()
@@ -293,10 +289,10 @@ pub fn op_class_histogram(threads: &[Vec<Op>]) -> FxHashMap<OpClass, usize> {
 
 /// Thread-by-thread serialization (the no-CSI baseline, kept as a candidate
 /// because it minimizes guard switches).
-fn serial_schedule(threads: &[Vec<Op>]) -> Vec<Slot> {
+fn serial_schedule<T: AsRef<[Op]>>(threads: &[T]) -> Vec<Slot> {
     let mut slots = Vec::new();
     for (t, seq) in threads.iter().enumerate() {
-        for op in seq {
+        for op in seq.as_ref() {
             slots.push(Slot {
                 op: op.clone(),
                 active: 1u64 << t,
@@ -309,17 +305,17 @@ fn serial_schedule(threads: &[Vec<Op>]) -> Vec<Slot> {
 /// Greedy list schedule: at each step, among the candidate "next op of some
 /// thread", pick the one shared by the most remaining cost, breaking ties
 /// toward the guard used by the previous slot (to minimize mask switches).
-fn greedy_schedule(threads: &[Vec<Op>], costs: &CostModel) -> Vec<Slot> {
+fn greedy_schedule<T: AsRef<[Op]>>(threads: &[T], costs: &CostModel) -> Vec<Slot> {
     let n = threads.len();
     let mut pos = vec![0usize; n];
     let mut slots: Vec<Slot> = Vec::new();
     let mut prev_guard = 0u64;
+    let mut cands: Vec<(&Op, u64)> = Vec::with_capacity(n);
     loop {
         // Candidate next ops.
-        let mut cands: Vec<(&Op, u64)> = Vec::new();
-        for t in 0..n {
-            if pos[t] < threads[t].len() {
-                let op = &threads[t][pos[t]];
+        cands.clear();
+        for (t, thread) in threads.iter().enumerate() {
+            if let Some(op) = thread.as_ref().get(pos[t]) {
                 if let Some(entry) = cands.iter_mut().find(|(o, _)| *o == op) {
                     entry.1 |= 1 << t;
                 } else {
@@ -327,134 +323,147 @@ fn greedy_schedule(threads: &[Vec<Op>], costs: &CostModel) -> Vec<Slot> {
                 }
             }
         }
-        if cands.is_empty() {
-            break;
-        }
         // Score: shared issue saving, then guard affinity, then op cost
         // (prefer retiring expensive ops when shared widely).
-        let (op, active) = cands
-            .iter()
-            .max_by_key(|(op, mask)| {
-                let width = mask.count_ones() as u64;
-                let saving = (width - 1) * costs.op_cost(op) as u64;
-                let affinity = (*mask == prev_guard) as u64;
-                (saving, affinity, std::cmp::Reverse(costs.op_cost(op)))
-            })
-            .map(|(op, mask)| ((*op).clone(), *mask))
-            .unwrap();
+        let Some(&(op, active)) = cands.iter().max_by_key(|(op, mask)| {
+            let width = mask.count_ones() as u64;
+            let saving = (width - 1) * costs.op_cost(op) as u64;
+            let affinity = (*mask == prev_guard) as u64;
+            (saving, affinity, std::cmp::Reverse(costs.op_cost(op)))
+        }) else {
+            break;
+        };
         for (t, p) in pos.iter_mut().enumerate() {
             if active & (1 << t) != 0 {
                 *p += 1;
             }
         }
         prev_guard = active;
-        slots.push(Slot { op, active });
+        slots.push(Slot {
+            op: op.clone(),
+            active,
+        });
     }
     slots
 }
 
-/// Hierarchical pairwise merging: threads become guarded sequences, sorted
-/// by descending cost; each is merged into the accumulated schedule with an
-/// optimal two-sequence dynamic program (inter-thread CSE on aligned ops).
-fn pairwise_merge_schedule(threads: &[Vec<Op>], costs: &CostModel) -> Vec<Slot> {
-    let mut seqs: Vec<Vec<Slot>> = threads
+/// Hierarchical pairwise merging: threads are taken in descending cost
+/// order (stable, so equal-cost threads keep input order), and each is
+/// merged into the accumulated schedule with an optimal two-sequence
+/// dynamic program (inter-thread CSE on aligned ops).
+fn pairwise_merge_schedule<T: AsRef<[Op]>>(threads: &[T], costs: &CostModel) -> Vec<Slot> {
+    let mut order: Vec<(usize, &[Op])> = threads
         .iter()
+        .map(AsRef::as_ref)
         .enumerate()
         .filter(|(_, t)| !t.is_empty())
-        .map(|(i, t)| {
-            t.iter()
-                .map(|op| Slot {
-                    op: op.clone(),
-                    active: 1u64 << i,
-                })
-                .collect()
-        })
         .collect();
-    seqs.sort_by_key(|s| {
-        std::cmp::Reverse(s.iter().map(|sl| costs.op_cost(&sl.op) as u64).sum::<u64>())
-    });
+    order.sort_by_key(|(_, t)| std::cmp::Reverse(costs.block_cost(t)));
+    let mut merge = Merge::default();
     let mut acc: Vec<Slot> = Vec::new();
-    for seq in seqs {
-        acc = merge_two(&acc, &seq, costs);
+    for (t, ops) in order {
+        acc = merge.merge(&acc, ops, 1u64 << t, costs);
     }
     acc
 }
 
-/// Optimal merge of two guarded sequences by dynamic programming: classic
-/// edit-path DP where aligning two slots with equal ops issues one shared
-/// slot (cost charged once). Guard-switch effects are handled afterwards by
-/// the improvement passes.
-fn merge_two(a: &[Slot], b: &[Slot], costs: &CostModel) -> Vec<Slot> {
-    if a.is_empty() {
-        return b.to_vec();
-    }
-    if b.is_empty() {
-        return a.to_vec();
-    }
-    let (la, lb) = (a.len(), b.len());
-    // dp[i][j]: min cost to schedule a[i..] and b[j..].
-    let mut dp = vec![vec![0u64; lb + 1]; la + 1];
-    for i in (0..la).rev() {
-        dp[i][lb] = dp[i + 1][lb] + costs.op_cost(&a[i].op) as u64;
-    }
-    for j in (0..lb).rev() {
-        dp[la][j] = dp[la][j + 1] + costs.op_cost(&b[j].op) as u64;
-    }
-    for i in (0..la).rev() {
-        for j in (0..lb).rev() {
-            let take_a = dp[i + 1][j] + costs.op_cost(&a[i].op) as u64;
-            let take_b = dp[i][j + 1] + costs.op_cost(&b[j].op) as u64;
-            let mut best = take_a.min(take_b);
-            if a[i].op == b[j].op {
-                best = best.min(dp[i + 1][j + 1] + costs.op_cost(&a[i].op) as u64);
-            }
-            dp[i][j] = best;
+/// Buffers reused across the merges of one [`pairwise_merge_schedule`]:
+/// the flat DP table and the precomputed op costs of both inputs.
+#[derive(Default)]
+struct Merge {
+    dp: Vec<u64>,
+    cost_a: Vec<u64>,
+    cost_b: Vec<u64>,
+}
+
+impl Merge {
+    /// Optimal merge of the guarded sequence `a` with thread `b` (guarded
+    /// by `bit`) by dynamic programming: classic edit-path DP where
+    /// aligning two slots with equal ops issues one shared slot (cost
+    /// charged once). Guard-switch effects are handled afterwards by the
+    /// improvement passes.
+    fn merge(&mut self, a: &[Slot], b: &[Op], bit: u64, costs: &CostModel) -> Vec<Slot> {
+        let (la, lb) = (a.len(), b.len());
+        let w = lb + 1;
+        self.cost_a.clear();
+        self.cost_a
+            .extend(a.iter().map(|s| costs.op_cost(&s.op) as u64));
+        self.cost_b.clear();
+        self.cost_b
+            .extend(b.iter().map(|op| costs.op_cost(op) as u64));
+        let (ca, cb) = (&self.cost_a, &self.cost_b);
+        // dp[i * w + j]: min cost to schedule a[i..] and b[j..].
+        self.dp.clear();
+        self.dp.resize((la + 1) * w, 0);
+        let dp = &mut self.dp;
+        for i in (0..la).rev() {
+            dp[i * w + lb] = dp[(i + 1) * w + lb] + ca[i];
         }
-    }
-    // Reconstruct.
-    let mut out = Vec::with_capacity(la + lb);
-    let (mut i, mut j) = (0, 0);
-    while i < la || j < lb {
-        if i < la && j < lb && a[i].op == b[j].op {
-            let shared = dp[i + 1][j + 1] + costs.op_cost(&a[i].op) as u64;
-            if dp[i][j] == shared {
+        for j in (0..lb).rev() {
+            dp[la * w + j] = dp[la * w + j + 1] + cb[j];
+        }
+        for i in (0..la).rev() {
+            for j in (0..lb).rev() {
+                let take_a = dp[(i + 1) * w + j] + ca[i];
+                let take_b = dp[i * w + j + 1] + cb[j];
+                let mut best = take_a.min(take_b);
+                if a[i].op == b[j] {
+                    best = best.min(dp[(i + 1) * w + j + 1] + ca[i]);
+                }
+                dp[i * w + j] = best;
+            }
+        }
+        // Reconstruct.
+        let mut out = Vec::with_capacity(la + lb);
+        let (mut i, mut j) = (0, 0);
+        while i < la || j < lb {
+            if i < la
+                && j < lb
+                && a[i].op == b[j]
+                && dp[i * w + j] == dp[(i + 1) * w + j + 1] + ca[i]
+            {
                 out.push(Slot {
-                    op: a[i].op.clone(),
-                    active: a[i].active | b[j].active,
+                    op: b[j].clone(),
+                    active: a[i].active | bit,
                 });
                 i += 1;
                 j += 1;
-                continue;
+            } else if i < la && dp[i * w + j] == dp[(i + 1) * w + j] + ca[i] {
+                out.push(a[i].clone());
+                i += 1;
+            } else {
+                out.push(Slot {
+                    op: b[j].clone(),
+                    active: bit,
+                });
+                j += 1;
             }
         }
-        if i < la && dp[i][j] == dp[i + 1][j] + costs.op_cost(&a[i].op) as u64 {
-            out.push(a[i].clone());
-            i += 1;
-        } else {
-            out.push(b[j].clone());
-            j += 1;
-        }
+        out
     }
-    out
 }
 
 /// Cheap approximate search: adjacent slots with the same op and disjoint
-/// guards can be fused into one shared issue. Returns true if anything
-/// changed.
+/// guards can be fused into one shared issue (a slot absorbs each
+/// following slot it can fuse with). Returns true if anything changed.
 fn fuse_adjacent(slots: &mut Vec<Slot>) -> bool {
-    let mut changed = false;
-    let mut i = 0;
-    while i + 1 < slots.len() {
-        if slots[i].op == slots[i + 1].op && slots[i].active & slots[i + 1].active == 0 {
-            let merged_active = slots[i].active | slots[i + 1].active;
-            slots[i].active = merged_active;
-            slots.remove(i + 1);
-            changed = true;
+    let len = slots.len();
+    if len < 2 {
+        return false;
+    }
+    // slots[..=w] is the compacted prefix; every index in (w, r) holds a
+    // slot already fused into slots[w].
+    let mut w = 0;
+    for r in 1..len {
+        if slots[w].op == slots[r].op && slots[w].active & slots[r].active == 0 {
+            slots[w].active |= slots[r].active;
         } else {
-            i += 1;
+            w += 1;
+            slots.swap(w, r);
         }
     }
-    changed
+    slots.truncate(w + 1);
+    w + 1 < len
 }
 
 /// Permutation-in-range search: a slot may move past a neighbour when no
@@ -492,6 +501,265 @@ fn swap_improves(slots: &[Slot], k: usize) -> bool {
     let cur = before(prev, x) + (x != y) as i32 + next.map(|n| (y != n) as i32).unwrap_or(0);
     let new = before(prev, y) + (y != x) as i32 + next.map(|n| (x != n) as i32).unwrap_or(0);
     new < cur
+}
+
+/// CSI as it was before the flat DP buffer, one-pass fusion and reused
+/// scratch buffers. Kept as the oracle the optimized [`induce_with`] must
+/// agree with exactly.
+#[cfg(test)]
+mod reference {
+    use super::{coalesce_guards, naive_cost, schedule_cost, serial_schedule};
+    use super::{CostModel, CsiError, CsiOptions, FxHashMap, Op, Schedule, Slot, MAX_THREADS};
+
+    /// Run CSI on the given thread op sequences (thread *t* guards bit *t*).
+    pub(super) fn induce_with(
+        threads: &[Vec<Op>],
+        opts: &CsiOptions,
+    ) -> Result<Schedule, CsiError> {
+        if threads.len() > MAX_THREADS {
+            return Err(CsiError::TooManyThreads(threads.len()));
+        }
+        let costs = &opts.costs;
+        let lb = lower_bound(threads, costs);
+        let naive = naive_cost(threads, costs);
+
+        if threads.iter().all(|t| t.is_empty()) {
+            return Ok(Schedule {
+                slots: vec![],
+                cost: 0,
+                lower_bound: 0,
+                naive_cost: naive,
+            });
+        }
+
+        // Three linear schedules: greedy list schedule, hierarchical pairwise
+        // DP merge, and plain serialization (sharing can lose to serialization
+        // once guard-switch costs are accounted, so serialization stays in the
+        // race). Each is improved, then the cheapest wins.
+        let candidates = [
+            greedy_schedule(threads, costs),
+            pairwise_merge_schedule(threads, costs),
+            serial_schedule(threads),
+        ];
+        let mut best: Option<Vec<Slot>> = None;
+        for mut slots in candidates {
+            // Cheap approximate search: fuse adjacent identical ops with
+            // disjoint guards (missed sharing), then the permutation-in-range
+            // search.
+            for _ in 0..opts.max_improve_passes {
+                let fused = fuse_adjacent(&mut slots);
+                let moved = coalesce_guards(&mut slots);
+                if !fused && !moved {
+                    break;
+                }
+            }
+            if best
+                .as_ref()
+                .map(|b| schedule_cost(&slots, costs) < schedule_cost(b, costs))
+                .unwrap_or(true)
+            {
+                best = Some(slots);
+            }
+        }
+        let slots = best.unwrap_or_default();
+
+        let cost = schedule_cost(&slots, costs);
+        Ok(Schedule {
+            slots,
+            cost,
+            lower_bound: lb,
+            naive_cost: naive,
+        })
+    }
+
+    /// Theoretical lower bound on any valid schedule's cost:
+    ///
+    /// * any schedule must contain every thread's ops in order, so it costs at
+    ///   least the most expensive single thread; and
+    /// * a shared slot issues one op for several threads, but each *distinct*
+    ///   op must be issued at least `max_t count(op, t)` times (the classic
+    ///   supersequence bound), so the per-op bound sums those.
+    ///
+    /// The returned bound is the max of the two plus one guard set-up.
+    fn lower_bound(threads: &[Vec<Op>], costs: &CostModel) -> u64 {
+        let per_thread = threads
+            .iter()
+            .map(|t| costs.block_cost(t))
+            .max()
+            .unwrap_or(0);
+        let mut max_counts: FxHashMap<&Op, u64> = FxHashMap::default();
+        for t in threads {
+            let mut counts: FxHashMap<&Op, u64> = FxHashMap::default();
+            for op in t {
+                *counts.entry(op).or_insert(0) += 1;
+            }
+            for (op, c) in counts {
+                let e = max_counts.entry(op).or_insert(0);
+                *e = (*e).max(c);
+            }
+        }
+        let per_op: u64 = max_counts
+            .iter()
+            .map(|(op, c)| *c * costs.op_cost(op) as u64)
+            .sum();
+        let body = per_thread.max(per_op);
+        if body == 0 {
+            0
+        } else {
+            body + costs.guard_switch as u64
+        }
+    }
+
+    /// Greedy list schedule: at each step, among the candidate "next op of some
+    /// thread", pick the one shared by the most remaining cost, breaking ties
+    /// toward the guard used by the previous slot (to minimize mask switches).
+    fn greedy_schedule(threads: &[Vec<Op>], costs: &CostModel) -> Vec<Slot> {
+        let n = threads.len();
+        let mut pos = vec![0usize; n];
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut prev_guard = 0u64;
+        loop {
+            // Candidate next ops.
+            let mut cands: Vec<(&Op, u64)> = Vec::new();
+            for t in 0..n {
+                if pos[t] < threads[t].len() {
+                    let op = &threads[t][pos[t]];
+                    if let Some(entry) = cands.iter_mut().find(|(o, _)| *o == op) {
+                        entry.1 |= 1 << t;
+                    } else {
+                        cands.push((op, 1 << t));
+                    }
+                }
+            }
+            if cands.is_empty() {
+                break;
+            }
+            // Score: shared issue saving, then guard affinity, then op cost
+            // (prefer retiring expensive ops when shared widely).
+            let (op, active) = cands
+                .iter()
+                .max_by_key(|(op, mask)| {
+                    let width = mask.count_ones() as u64;
+                    let saving = (width - 1) * costs.op_cost(op) as u64;
+                    let affinity = (*mask == prev_guard) as u64;
+                    (saving, affinity, std::cmp::Reverse(costs.op_cost(op)))
+                })
+                .map(|(op, mask)| ((*op).clone(), *mask))
+                .unwrap();
+            for (t, p) in pos.iter_mut().enumerate() {
+                if active & (1 << t) != 0 {
+                    *p += 1;
+                }
+            }
+            prev_guard = active;
+            slots.push(Slot { op, active });
+        }
+        slots
+    }
+
+    /// Hierarchical pairwise merging: threads become guarded sequences, sorted
+    /// by descending cost; each is merged into the accumulated schedule with an
+    /// optimal two-sequence dynamic program (inter-thread CSE on aligned ops).
+    fn pairwise_merge_schedule(threads: &[Vec<Op>], costs: &CostModel) -> Vec<Slot> {
+        let mut seqs: Vec<Vec<Slot>> = threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.is_empty())
+            .map(|(i, t)| {
+                t.iter()
+                    .map(|op| Slot {
+                        op: op.clone(),
+                        active: 1u64 << i,
+                    })
+                    .collect()
+            })
+            .collect();
+        seqs.sort_by_key(|s| {
+            std::cmp::Reverse(s.iter().map(|sl| costs.op_cost(&sl.op) as u64).sum::<u64>())
+        });
+        let mut acc: Vec<Slot> = Vec::new();
+        for seq in seqs {
+            acc = merge_two(&acc, &seq, costs);
+        }
+        acc
+    }
+
+    /// Optimal merge of two guarded sequences by dynamic programming: classic
+    /// edit-path DP where aligning two slots with equal ops issues one shared
+    /// slot (cost charged once). Guard-switch effects are handled afterwards by
+    /// the improvement passes.
+    fn merge_two(a: &[Slot], b: &[Slot], costs: &CostModel) -> Vec<Slot> {
+        if a.is_empty() {
+            return b.to_vec();
+        }
+        if b.is_empty() {
+            return a.to_vec();
+        }
+        let (la, lb) = (a.len(), b.len());
+        // dp[i][j]: min cost to schedule a[i..] and b[j..].
+        let mut dp = vec![vec![0u64; lb + 1]; la + 1];
+        for i in (0..la).rev() {
+            dp[i][lb] = dp[i + 1][lb] + costs.op_cost(&a[i].op) as u64;
+        }
+        for j in (0..lb).rev() {
+            dp[la][j] = dp[la][j + 1] + costs.op_cost(&b[j].op) as u64;
+        }
+        for i in (0..la).rev() {
+            for j in (0..lb).rev() {
+                let take_a = dp[i + 1][j] + costs.op_cost(&a[i].op) as u64;
+                let take_b = dp[i][j + 1] + costs.op_cost(&b[j].op) as u64;
+                let mut best = take_a.min(take_b);
+                if a[i].op == b[j].op {
+                    best = best.min(dp[i + 1][j + 1] + costs.op_cost(&a[i].op) as u64);
+                }
+                dp[i][j] = best;
+            }
+        }
+        // Reconstruct.
+        let mut out = Vec::with_capacity(la + lb);
+        let (mut i, mut j) = (0, 0);
+        while i < la || j < lb {
+            if i < la && j < lb && a[i].op == b[j].op {
+                let shared = dp[i + 1][j + 1] + costs.op_cost(&a[i].op) as u64;
+                if dp[i][j] == shared {
+                    out.push(Slot {
+                        op: a[i].op.clone(),
+                        active: a[i].active | b[j].active,
+                    });
+                    i += 1;
+                    j += 1;
+                    continue;
+                }
+            }
+            if i < la && dp[i][j] == dp[i + 1][j] + costs.op_cost(&a[i].op) as u64 {
+                out.push(a[i].clone());
+                i += 1;
+            } else {
+                out.push(b[j].clone());
+                j += 1;
+            }
+        }
+        out
+    }
+
+    /// Cheap approximate search: adjacent slots with the same op and disjoint
+    /// guards can be fused into one shared issue. Returns true if anything
+    /// changed.
+    fn fuse_adjacent(slots: &mut Vec<Slot>) -> bool {
+        let mut changed = false;
+        let mut i = 0;
+        while i + 1 < slots.len() {
+            if slots[i].op == slots[i + 1].op && slots[i].active & slots[i + 1].active == 0 {
+                let merged_active = slots[i].active | slots[i + 1].active;
+                slots[i].active = merged_active;
+                slots.remove(i + 1);
+                changed = true;
+            } else {
+                i += 1;
+            }
+        }
+        changed
+    }
 }
 
 #[cfg(test)]
@@ -671,6 +939,10 @@ mod proptests {
         prop::collection::vec(prop::collection::vec(arb_op(), 0..12), 1..6)
     }
 
+    fn arb_wide_threads() -> impl Strategy<Value = Vec<Vec<Op>>> {
+        prop::collection::vec(prop::collection::vec(arb_op(), 0..41), 1..9)
+    }
+
     proptest! {
         /// The fundamental CSI invariant: every thread's enabled
         /// subsequence equals its input, and cost sits between the
@@ -681,6 +953,17 @@ mod proptests {
             prop_assert!(s.validate(&threads).is_ok());
             prop_assert!(s.cost <= s.naive_cost);
             prop_assert!(s.lower_bound <= s.cost);
+        }
+
+        /// The optimized CSI returns exactly the schedule of the reference
+        /// implementation: same slots, cost, lower bound and naive cost.
+        #[test]
+        fn matches_reference(threads in arb_wide_threads()) {
+            let opts = CsiOptions::default();
+            prop_assert_eq!(
+                induce_with(&threads, &opts),
+                reference::induce_with(&threads, &opts)
+            );
         }
 
         /// Scheduling is deterministic.

@@ -77,15 +77,19 @@ impl HashExpr {
         }
     }
 
-    /// Size of the jump table this hash indexes (mask + 1).
-    pub fn table_size(&self) -> usize {
-        let mask = match *self {
+    /// The final mask (table size − 1).
+    fn mask(&self) -> u64 {
+        match *self {
             HashExpr::ShiftMask { mask, .. }
             | HashExpr::XorFold { mask, .. }
             | HashExpr::AddFold { mask, .. }
             | HashExpr::MulShift { mask, .. } => mask,
-        };
-        mask as usize + 1
+        }
+    }
+
+    /// Size of the jump table this hash indexes (mask + 1).
+    pub fn table_size(&self) -> usize {
+        self.mask() as usize + 1
     }
 
     /// Number of ALU operations needed to evaluate the hash (the cost the
@@ -151,6 +155,28 @@ pub struct PerfectHash {
 }
 
 impl PerfectHash {
+    /// Build the dispatch table of `expr` over `keys` (in input order).
+    /// Returns `None` when two keys hash to the same slot, or when the
+    /// table would exceed 2^[`MAX_TABLE_BITS`] entries.
+    pub fn build(keys: &[u64], expr: HashExpr) -> Option<PerfectHash> {
+        if expr.mask() >> MAX_TABLE_BITS != 0 {
+            return None;
+        }
+        let mut table = vec![None; expr.table_size()];
+        for (i, &k) in keys.iter().enumerate() {
+            let slot = &mut table[expr.eval(k) as usize];
+            if slot.is_some() {
+                return None;
+            }
+            *slot = Some(i as u32);
+        }
+        Some(PerfectHash {
+            expr,
+            table,
+            keys: keys.to_vec(),
+        })
+    }
+
     /// Look up which key index `key` maps to. Returns `None` for a value
     /// outside the construction set (dispatching on such a value is a
     /// program bug the simulator reports rather than mis-jumping on).
@@ -180,6 +206,8 @@ pub enum HashError {
     /// No tried family/parameter combination was injective within
     /// [`SearchOptions::max_table_bits`].
     NotFound,
+    /// [`SearchOptions::max_table_bits`] exceeds [`MAX_TABLE_BITS`].
+    TableBitsTooLarge(u32),
 }
 
 impl fmt::Display for HashError {
@@ -188,16 +216,27 @@ impl fmt::Display for HashError {
             HashError::NoKeys => write!(f, "cannot hash an empty key set"),
             HashError::DuplicateKey(k) => write!(f, "duplicate key {k:#x}"),
             HashError::NotFound => write!(f, "no perfect hash found within the search bounds"),
+            HashError::TableBitsTooLarge(bits) => write!(
+                f,
+                "max_table_bits {bits} exceeds the cap of {MAX_TABLE_BITS}"
+            ),
         }
     }
 }
 
 impl std::error::Error for HashError {}
 
+/// Cap on [`SearchOptions::max_table_bits`]: a 2^24-entry table is
+/// already far beyond any dispatch the code generator emits, and the cap
+/// bounds both the search's occupancy bitmap and the jump table.
+pub const MAX_TABLE_BITS: u32 = 24;
+
 /// Search parameters for [`find_hash_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
     /// Largest table considered, as a power of two (table ≤ 2^max_table_bits).
+    /// At most [`MAX_TABLE_BITS`]; larger values are rejected with
+    /// [`HashError::TableBitsTooLarge`].
     pub max_table_bits: u32,
     /// Allow the multiplicative family (more ops, but succeeds on
     /// adversarial key sets the folding families miss).
@@ -233,7 +272,14 @@ pub fn find_hash(keys: &[u64]) -> Result<PerfectHash, HashError> {
 /// Find a perfect hash for `keys`: smallest table size first, then fewest
 /// ALU ops, mirroring \[Die92a\]'s goal of "mak\[ing\] the case values
 /// contiguous so that the compiler will use a jump table".
+///
+/// Candidates are enumerated lazily in that fixed order and each is
+/// tested for injectivity against one reusable occupancy bitmap, so only
+/// the winning expression's jump table is ever allocated.
 pub fn find_hash_with(keys: &[u64], opts: SearchOptions) -> Result<PerfectHash, HashError> {
+    if opts.max_table_bits > MAX_TABLE_BITS {
+        return Err(HashError::TableBitsTooLarge(opts.max_table_bits));
+    }
     if keys.is_empty() {
         return Err(HashError::NoKeys);
     }
@@ -251,61 +297,136 @@ pub fn find_hash_with(keys: &[u64], opts: SearchOptions) -> Result<PerfectHash, 
     } else {
         usize::BITS - (keys.len() - 1).leading_zeros()
     };
+    let mut occupied: Vec<u64> = Vec::new();
     for bits in min_bits..=opts.max_table_bits {
-        let mask = if bits == 0 { 0 } else { (1u64 << bits) - 1 };
-        // Families in increasing op-count order.
-        let mut candidates: Vec<HashExpr> = Vec::new();
-        for shift in 0..64 {
-            candidates.push(HashExpr::ShiftMask {
-                neg: false,
-                shift,
-                mask,
-            });
-        }
-        for shift in 0..64 {
-            candidates.push(HashExpr::ShiftMask {
-                neg: true,
-                shift,
-                mask,
-            });
-        }
-        for shift in 1..64 {
-            candidates.push(HashExpr::XorFold { shift, mask });
-        }
-        for shift in 1..64 {
-            candidates.push(HashExpr::AddFold { shift, mask });
-        }
-        if opts.allow_mul {
-            for &mul in &MULTIPLIERS {
-                for shift in (0..64).rev() {
-                    candidates.push(HashExpr::MulShift { mul, shift, mask });
-                }
-            }
-        }
-        for expr in candidates {
-            if let Some(table) = try_build(keys, &expr) {
-                return Ok(PerfectHash {
-                    expr,
-                    table,
-                    keys: keys.to_vec(),
-                });
+        let mask = (1u64 << bits) - 1;
+        occupied.resize((1usize << bits).div_ceil(64), 0);
+        for expr in candidates(mask, opts.allow_mul) {
+            if injective(keys, expr, &mut occupied) {
+                return Ok(PerfectHash::build(keys, expr)
+                    .expect("an expression injective on the keys builds its table"));
             }
         }
     }
     Err(HashError::NotFound)
 }
 
-/// Attempt to build the dispatch table; `None` on any collision.
-fn try_build(keys: &[u64], expr: &HashExpr) -> Option<Vec<Option<u32>>> {
-    let mut table = vec![None; expr.table_size()];
+/// The candidate expressions for one table size, in increasing op-count
+/// order: shift-mask of `x`, then of `-x`, shift-xor, shift-add, and
+/// (when allowed) multiply-shift for each of [`MULTIPLIERS`].
+fn candidates(mask: u64, allow_mul: bool) -> impl Iterator<Item = HashExpr> {
+    let shift_mask = |neg| (0..64).map(move |shift| HashExpr::ShiftMask { neg, shift, mask });
+    let muls: &[u64] = if allow_mul { &MULTIPLIERS } else { &[] };
+    shift_mask(false)
+        .chain(shift_mask(true))
+        .chain((1..64).map(move |shift| HashExpr::XorFold { shift, mask }))
+        .chain((1..64).map(move |shift| HashExpr::AddFold { shift, mask }))
+        .chain(muls.iter().flat_map(move |&mul| {
+            (0..64)
+                .rev()
+                .map(move |shift| HashExpr::MulShift { mul, shift, mask })
+        }))
+}
+
+/// Is `expr` injective on `keys`? `occupied` is an all-zero bitmap of at
+/// least `expr.table_size()` bits, and is all-zero again on return: the
+/// words this call set bits in are cleared through the keys it inserted.
+fn injective(keys: &[u64], expr: HashExpr, occupied: &mut [u64]) -> bool {
+    let mut inserted = keys.len();
     for (i, &k) in keys.iter().enumerate() {
         let h = expr.eval(k) as usize;
-        if table[h].is_some() {
-            return None;
+        let (word, bit) = (h / 64, 1u64 << (h % 64));
+        if occupied[word] & bit != 0 {
+            inserted = i;
+            break;
         }
-        table[h] = Some(i as u32);
+        occupied[word] |= bit;
     }
-    Some(table)
+    for &k in &keys[..inserted] {
+        occupied[expr.eval(k) as usize / 64] = 0;
+    }
+    inserted == keys.len()
+}
+
+/// The search as it was before the occupancy bitmap: one candidate `Vec`
+/// per table size and one freshly allocated table per candidate. Kept as
+/// the oracle the bitmap search must agree with exactly.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn find_hash_with(keys: &[u64], opts: SearchOptions) -> Result<PerfectHash, HashError> {
+        if keys.is_empty() {
+            return Err(HashError::NoKeys);
+        }
+        {
+            let mut sorted = keys.to_vec();
+            sorted.sort_unstable();
+            for w in sorted.windows(2) {
+                if w[0] == w[1] {
+                    return Err(HashError::DuplicateKey(w[0]));
+                }
+            }
+        }
+        let min_bits = if keys.len() == 1 {
+            0
+        } else {
+            usize::BITS - (keys.len() - 1).leading_zeros()
+        };
+        for bits in min_bits..=opts.max_table_bits {
+            let mask = if bits == 0 { 0 } else { (1u64 << bits) - 1 };
+            let mut candidates: Vec<HashExpr> = Vec::new();
+            for shift in 0..64 {
+                candidates.push(HashExpr::ShiftMask {
+                    neg: false,
+                    shift,
+                    mask,
+                });
+            }
+            for shift in 0..64 {
+                candidates.push(HashExpr::ShiftMask {
+                    neg: true,
+                    shift,
+                    mask,
+                });
+            }
+            for shift in 1..64 {
+                candidates.push(HashExpr::XorFold { shift, mask });
+            }
+            for shift in 1..64 {
+                candidates.push(HashExpr::AddFold { shift, mask });
+            }
+            if opts.allow_mul {
+                for &mul in &MULTIPLIERS {
+                    for shift in (0..64).rev() {
+                        candidates.push(HashExpr::MulShift { mul, shift, mask });
+                    }
+                }
+            }
+            for expr in candidates {
+                if let Some(table) = try_build(keys, &expr) {
+                    return Ok(PerfectHash {
+                        expr,
+                        table,
+                        keys: keys.to_vec(),
+                    });
+                }
+            }
+        }
+        Err(HashError::NotFound)
+    }
+
+    fn try_build(keys: &[u64], expr: &HashExpr) -> Option<Vec<Option<u32>>> {
+        let mut table = vec![None; expr.table_size()];
+        for (i, &k) in keys.iter().enumerate() {
+            let h = expr.eval(k) as usize;
+            if table[h].is_some() {
+                return None;
+            }
+            table[h] = Some(i as u32);
+        }
+        Some(table)
+    }
 }
 
 #[cfg(test)]
@@ -357,6 +478,76 @@ mod tests {
                 assert_eq!(ph.lookup(foreign), None, "foreign {foreign:#x} aliased");
             }
         }
+    }
+
+    #[test]
+    fn table_bits_above_the_cap_are_rejected() {
+        for bits in [MAX_TABLE_BITS + 1, 63, 64, u32::MAX] {
+            let opts = SearchOptions {
+                max_table_bits: bits,
+                allow_mul: true,
+            };
+            assert_eq!(
+                find_hash_with(&[1, 2, 3], opts),
+                Err(HashError::TableBitsTooLarge(bits))
+            );
+        }
+        let at_cap = SearchOptions {
+            max_table_bits: MAX_TABLE_BITS,
+            allow_mul: true,
+        };
+        assert!(find_hash_with(&[1, 2, 3], at_cap).is_ok());
+    }
+
+    #[test]
+    fn build_rejects_collisions_and_oversized_tables() {
+        let expr = HashExpr::ShiftMask {
+            neg: false,
+            shift: 0,
+            mask: 3,
+        };
+        let ph = PerfectHash::build(&[2, 1], expr).unwrap();
+        assert_eq!(ph.table, vec![None, Some(1), Some(0), None]);
+        assert_eq!(ph.keys, vec![2, 1]);
+        assert_eq!(PerfectHash::build(&[1, 5], expr), None, "1 and 5 collide");
+        let huge = HashExpr::ShiftMask {
+            neg: false,
+            shift: 0,
+            mask: u64::MAX,
+        };
+        assert_eq!(PerfectHash::build(&[1], huge), None);
+    }
+
+    /// The bitmap search agrees with the reference search on seeded
+    /// random key sets, and the sample reaches the cases the lazy
+    /// enumeration must order correctly: a win past the first table
+    /// size, and a win in the multiplicative family.
+    #[test]
+    fn search_matches_reference_across_levels_and_families() {
+        let mut rng = proptest::test_runner::TestRng::deterministic("hash-oracle");
+        let (mut second_level, mut mul_wins) = (0, 0);
+        for case in 0..300 {
+            let n = 2 + (rng.next_u64() % 40) as usize;
+            // Alternate full-width keys with small dense ones.
+            let span = if case % 2 == 0 {
+                u64::MAX
+            } else {
+                4 * n as u64
+            };
+            let mut keys: Vec<u64> = (0..n).map(|_| rng.next_u64() % span).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let opts = SearchOptions::default();
+            let got = find_hash_with(&keys, opts);
+            assert_eq!(got, reference::find_hash_with(&keys, opts), "keys {keys:?}");
+            let ph = got.unwrap();
+            second_level += usize::from(ph.table.len() >= 2 * keys.len().next_power_of_two());
+            mul_wins += usize::from(matches!(ph.expr, HashExpr::MulShift { .. }));
+        }
+        assert!(
+            second_level > 0 && mul_wins > 0,
+            "{second_level} {mul_wins}"
+        );
     }
 
     #[test]
@@ -469,6 +660,32 @@ mod proptests {
             for (i, &k) in keys.iter().enumerate() {
                 prop_assert_eq!(ph.lookup(k), Some(i as u32));
             }
+        }
+
+        /// The bitmap search returns exactly what the reference search
+        /// returns (expression, table and keys, or the same error) for any
+        /// key set and search bounds.
+        #[test]
+        fn search_matches_reference(
+            keys in prop::collection::vec(any::<u64>(), 1..48),
+            dense in any::<bool>(),
+            max_table_bits in 0u32..=12,
+            allow_mul in any::<bool>(),
+        ) {
+            // Dense keys crowd a small range, so the smallest table size
+            // usually fails and the search climbs levels.
+            let keys: Vec<u64> = if dense {
+                let span = 2 * keys.len() as u64;
+                let mut seen = std::collections::HashSet::new();
+                keys.iter().map(|k| k % span).filter(|&k| seen.insert(k)).collect()
+            } else {
+                keys
+            };
+            let opts = SearchOptions { max_table_bits, allow_mul };
+            prop_assert_eq!(
+                find_hash_with(&keys, opts),
+                reference::find_hash_with(&keys, opts)
+            );
         }
 
         /// Evaluation is deterministic and within the table bounds.
