@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: formatting, lints, docs, then the tier-1 build + test suite.
 # This script is the single source of truth — .github/workflows/ci.yml
-# just runs it.
+# just runs it. Every cargo command on the root workspace passes
+# --locked, so a Cargo.lock out of step with the manifests fails the
+# gate; perfbench keeps its own lockfile and is built without it.
 #
 #   ./ci.sh               the full gate (tier-1 plus the spill-path and
 #                         scalar-fallback test legs, the aarch64
@@ -55,31 +57,31 @@ echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (deny warnings) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
 
 echo "== tier-1: build --release =="
 # --workspace: the root is itself a package, so a bare `cargo build`
 # would skip the member crates (and never produce target/release/mscc,
 # which the smoke stages below execute).
-cargo build --release --workspace
+cargo build --locked --release --workspace
 
 echo "== tier-1: test =="
-cargo test -q --workspace
+cargo test --locked -q --workspace
 
 echo "== tier-1: test again under a tiny memory budget (spill path) =="
 # 16k is far below any test workload's resident set, so every conversion
 # in the suite runs through the out-of-core arena + worklist spill and
 # must still produce bit-identical automata.
-MSC_MEMORY_BUDGET=16k cargo test -q --workspace
+MSC_MEMORY_BUDGET=16k cargo test --locked -q --workspace
 
 echo "== tier-1: test again with SIMD kernels disabled (scalar path) =="
 # MSC_NO_SIMD forces the portable scalar fallbacks everywhere the SIMD
 # crate dispatches, so the suite proves the scalar kernels are not just
 # dead code behind a feature probe.
-MSC_NO_SIMD=1 cargo test -q --workspace
+MSC_NO_SIMD=1 cargo test --locked -q --workspace
 
 echo "== cross-check: aarch64-unknown-linux-gnu =="
 # The reactor's epoll shim carries an arch-conditional epoll_event
@@ -88,7 +90,7 @@ echo "== cross-check: aarch64-unknown-linux-gnu =="
 # `rustup target add aarch64-unknown-linux-gnu` is the only setup; skip
 # with a notice when that target's std is not installed (e.g. offline).
 if rustup target list --installed 2>/dev/null | grep -qx 'aarch64-unknown-linux-gnu'; then
-    cargo check --workspace --target aarch64-unknown-linux-gnu
+    cargo check --locked --workspace --target aarch64-unknown-linux-gnu
 else
     echo "   aarch64-unknown-linux-gnu std not installed; skipping cross-check"
 fi
@@ -97,21 +99,21 @@ echo "== benches compile =="
 # One workspace-wide invocation instead of per-crate `cargo bench
 # --no-run` calls; the bench profile matches release (no overrides in
 # Cargo.toml), so this reuses the tier-1 build artifacts.
-cargo build --benches --release --workspace
+cargo build --locked --benches --release --workspace
 
 if [ "$MODE" = "bench-smoke" ]; then
     echo "== bench smoke: set_algebra --test =="
-    cargo bench -p msc-bench --bench set_algebra -- --test
+    cargo bench --locked -p msc-bench --bench set_algebra -- --test
     echo "== bench smoke: subsume_scaling --test =="
-    cargo bench -p msc-bench --bench subsume_scaling -- --test
+    cargo bench --locked -p msc-bench --bench subsume_scaling -- --test
     echo "== bench smoke: obs_overhead --test =="
-    cargo bench -p msc-bench --bench obs_overhead -- --test
+    cargo bench --locked -p msc-bench --bench obs_overhead -- --test
     echo "== bench regression gate: setops --check =="
-    cargo run --release -p msc-bench --bin claims -- setops --check
+    cargo run --locked --release -p msc-bench --bin claims -- setops --check
     echo "== bench regression gate: regex --check =="
-    cargo run --release -p msc-bench --bin claims -- regex --check
+    cargo run --locked --release -p msc-bench --bin claims -- regex --check
     echo "== bench regression gate: explosion --check =="
-    cargo run --release -p msc-bench --bin claims -- explosion --check
+    cargo run --locked --release -p msc-bench --bin claims -- explosion --check
     echo "== perfbench: tests =="
     cargo test --manifest-path perfbench/Cargo.toml
     echo "== perfbench smoke: cold_compile, 3 s, reference-checked =="
@@ -149,7 +151,7 @@ if [ "$MODE" = "serve-smoke" ]; then
     echo "   daemon bound to ${ADDR}"
     ./target/release/loadgen --smoke --addr "$ADDR"
     echo "== serve bench-regression gate: claims -- serve --check =="
-    cargo run --release -p msc-bench --bin claims -- serve --check
+    cargo run --locked --release -p msc-bench --bin claims -- serve --check
     echo "== serve smoke: SIGINT drains the daemon =="
     kill -INT "$SERVE_PID"
     wait "$SERVE_PID"
@@ -164,7 +166,7 @@ if [ "$MODE" = "cluster-smoke" ]; then
     # is diagnosable from the CI console alone.
     echo "== cluster smoke: claims -- cluster --check =="
     rm -rf cluster-logs
-    if ! cargo run --release -p msc-bench --bin claims -- cluster --check; then
+    if ! cargo run --locked --release -p msc-bench --bin claims -- cluster --check; then
         echo "cluster smoke failed; daemon logs follow" >&2
         for f in cluster-logs/*.log; do
             [ -f "$f" ] || continue
@@ -184,7 +186,7 @@ if [ "$MODE" = "sweep-smoke" ]; then
     echo "== sweep smoke: mscc sweep over every bundled profile =="
     ./target/release/mscc sweep examples/dispatch_heavy.mimdc --profiles profiles --metrics
     echo "== sweep regression gate: claims -- sweep --check =="
-    cargo run --release -p msc-bench --bin claims -- sweep --check
+    cargo run --locked --release -p msc-bench --bin claims -- sweep --check
 fi
 
 if [ "$MODE" = "fuzz-smoke" ]; then

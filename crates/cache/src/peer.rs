@@ -14,11 +14,10 @@
 //! (`cache.peer_verify_fail`).
 
 use crate::{wire, CacheKey, CacheLayer, CacheTier, Codec, TierStatus};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tunables for the peer tier. The defaults suit LAN siblings; tests
@@ -107,11 +106,17 @@ impl Breaker {
         }
     }
 
+    /// The breaker state; a panic while holding it cannot poison the peer
+    /// tier.
+    fn lock(&self) -> MutexGuard<'_, BreakerInner> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// May a request be sent to this peer right now? Transitions
     /// Open → HalfOpen (admitting the caller as the probe) once the
     /// cooldown has elapsed.
     fn allow(&self, now: Instant, cfg: &PeerConfig) -> bool {
-        let mut b = self.inner.lock();
+        let mut b = self.lock();
         match b.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
@@ -141,14 +146,14 @@ impl Breaker {
     }
 
     fn on_success(&self) {
-        let mut b = self.inner.lock();
+        let mut b = self.lock();
         b.state = BreakerState::Closed;
         b.consecutive_failures = 0;
         b.since = None;
     }
 
     fn on_failure(&self, now: Instant, cfg: &PeerConfig) {
-        let mut b = self.inner.lock();
+        let mut b = self.lock();
         b.consecutive_failures += 1;
         if b.state == BreakerState::HalfOpen || b.consecutive_failures >= cfg.failure_threshold {
             b.state = BreakerState::Open;
@@ -157,7 +162,7 @@ impl Breaker {
     }
 
     fn snapshot(&self) -> (BreakerState, u32) {
-        let b = self.inner.lock();
+        let b = self.lock();
         (b.state, b.consecutive_failures)
     }
 }

@@ -2,11 +2,10 @@
 
 use crate::{CacheKey, CacheLayer, CacheTier, Codec, TierStatus};
 use msc_ir::util::FxHashMap;
-use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct Entry<A> {
     artifact: Arc<A>,
@@ -41,7 +40,7 @@ impl<A> MemoryTier<A> {
 
     /// Artifacts currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     /// True when nothing is resident.
@@ -54,6 +53,12 @@ impl<A> MemoryTier<A> {
         self.capacity
     }
 
+    /// The LRU state; a job that panicked while holding it cannot poison
+    /// the cache for everyone else.
+    fn lock(&self) -> MutexGuard<'_, Inner<A>> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Lifetime eviction count.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -63,11 +68,7 @@ impl<A> MemoryTier<A> {
     /// used by the export path, where a remote daemon scanning our
     /// artifacts must not reshuffle the local LRU order.
     pub fn peek(&self, key: CacheKey) -> Option<Arc<A>> {
-        self.inner
-            .lock()
-            .map
-            .get(&key)
-            .map(|e| Arc::clone(&e.artifact))
+        self.lock().map.get(&key).map(|e| Arc::clone(&e.artifact))
     }
 }
 
@@ -77,7 +78,7 @@ impl<A: Send + Sync> CacheTier<A> for MemoryTier<A> {
     }
 
     fn fetch(&self, key: CacheKey, _codec: &dyn Codec<A>) -> Option<Arc<A>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.map.get_mut(&key)?;
@@ -89,7 +90,7 @@ impl<A: Send + Sync> CacheTier<A> for MemoryTier<A> {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         inner.map.insert(

@@ -6,9 +6,8 @@
 //! mscc build prog.mimdc --emit dot            # Graphviz of the automaton
 //! mscc build prog.mimdc --emit graph          # the MIMD state graph
 //! mscc build prog.mimdc --stats               # conversion stats + timings
-//! mscc build prog.mimdc --jobs 8              # frontier-parallel conversion
 //! mscc build prog.mimdc --cache .msc-cache    # reuse artifacts across runs
-//! mscc batch a.mimdc b.mimdc c.mimdc          # compile many over a pool
+//! mscc batch a.mimdc b.mimdc c.mimdc --jobs 4 # compile many over a pool
 //! mscc run   prog.mimdc --pes 16              # execute and print results
 //! mscc run   prog.mimdc --compare             # also run MIMD ref + interpreter
 //! ```
@@ -16,14 +15,13 @@
 //! Shared flags: `--mode base|compressed`, `--time-split`, `--optimize`,
 //! `--minimize`, `--no-csi`, `--pes N`, `--pool N` (live PEs, rest idle).
 //!
-//! Engine flags (build and batch): `--jobs N` runs meta-state conversion
-//! frontier-parallel on N threads (0 = all cores; batch also uses the pool
-//! to compile files concurrently); `--cache DIR` persists compiled
+//! Engine flags (build and batch): `--cache DIR` persists compiled
 //! artifacts content-addressed under DIR, so an unchanged source + options
 //! combination is reloaded instead of recompiled; `--stats` appends a
 //! stats block (meta-state counts, conversion counters, per-phase
-//! timings, cache hits/misses). Any engine flag routes the build through
-//! [`metastate::Engine`].
+//! timings, cache hits/misses). Either flag routes the build through
+//! [`metastate::Engine`]. `--jobs N` (batch and sweep only) compiles the
+//! files or profiles concurrently on N workers (0 = all cores).
 //!
 //! The argument parser and command execution live in this library so they
 //! are unit-testable; `main.rs` is a thin shell.
@@ -166,8 +164,7 @@ pub struct CommonOpts {
     pub minimize: bool,
     /// Disable CSI in codegen.
     pub no_csi: bool,
-    /// Conversion / batch worker threads (1 = classic sequential path,
-    /// 0 = all cores). Any value other than 1 routes through the engine.
+    /// Compile workers for batch and sweep (0 = all cores).
     pub jobs: usize,
     /// Artifact cache directory (routes through the engine).
     pub cache: Option<String>,
@@ -192,7 +189,7 @@ pub struct CommonOpts {
 impl CommonOpts {
     /// True when any engine feature was requested.
     pub fn wants_engine(&self) -> bool {
-        self.jobs != 1 || self.cache.is_some() || self.stats
+        self.cache.is_some() || self.stats
     }
 }
 
@@ -257,8 +254,8 @@ COMMON FLAGS:
                            never spill)
 
 ENGINE FLAGS (build and batch):
-  --jobs N                 convert frontier-parallel on N threads (0 = all cores);
-                           batch also compiles files concurrently
+  --jobs N                 batch and sweep only: compile files concurrently
+                           on N workers (0 = all cores; batch default 1)
   --cache DIR              content-addressed artifact cache: unchanged
                            source + options reload instead of recompiling
   --stats                  append meta-state counts, conversion counters,
@@ -299,7 +296,7 @@ FUZZ FLAGS:
                            3000; --max-meta-states is accepted as an alias)
   --corpus DIR             write minimized reproducers here on mismatch
   --oracles LIST           comma list: interp,base,compressed,timesplit,nocsi,
-                           engine:N,cache,serve,regex,selftest (default: all
+                           engine,cache,serve,regex,selftest (default: all
                            in-process)
   --serve                  start an in-process daemon and fuzz it over TCP
   --serve-addr HOST:PORT   fuzz an already-running daemon instead
@@ -390,7 +387,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--no-csi" => opts.no_csi = true,
                     "--compare" => compare = true,
                     "--trace" => trace = true,
-                    "--jobs" => {
+                    "--jobs" if cmd == "batch" || cmd == "sweep" => {
                         let v = it
                             .next()
                             .ok_or_else(|| CliError("--jobs needs a value".into()))?;
@@ -753,11 +750,10 @@ fn stats_block(artifact: &metastate::Artifact, provenance: Provenance, engine: &
         c.insertions,
         c.evictions
     ));
-    out.push_str(&format!("threads: {}\n", engine.threads()));
     out
 }
 
-/// `mscc build` through the engine: parallel conversion + cache. Artifacts
+/// `mscc build` through the engine: canonical conversion + cache. Artifacts
 /// reloaded from the disk cache carry the program and automaton text but
 /// not the in-memory IR, so `--emit dot|graph` falls back to a fresh
 /// classic build for them.
@@ -1788,15 +1784,18 @@ mod tests {
 
     #[test]
     fn parse_engine_flags() {
-        let cmd = parse_args(&args("build foo.mimdc --jobs 8 --cache /tmp/c --stats")).unwrap();
+        let cmd = parse_args(&args("build foo.mimdc --cache /tmp/c --stats")).unwrap();
         let Command::Build { opts, .. } = cmd else {
             panic!()
         };
-        assert_eq!(opts.jobs, 8);
         assert_eq!(opts.cache.as_deref(), Some("/tmp/c"));
         assert!(opts.stats);
         assert!(opts.wants_engine());
         assert!(!CommonOpts::default().wants_engine());
+        // --jobs sizes the batch/sweep compile pool; build and run have
+        // no pool to size.
+        assert!(parse_args(&args("build foo.mimdc --jobs 8")).is_err());
+        assert!(parse_args(&args("run foo.mimdc --jobs 8")).is_err());
     }
 
     #[test]
@@ -2045,7 +2044,7 @@ mod tests {
     #[test]
     fn parse_fuzz_flags() {
         let cmd = parse_args(&args(
-            "fuzz --seed 9 --cases 50 --pes 3 --max-states 500 --corpus /tmp/corp --oracles base,engine:2",
+            "fuzz --seed 9 --cases 50 --pes 3 --max-states 500 --corpus /tmp/corp --oracles base,engine",
         ))
         .unwrap();
         assert_eq!(
@@ -2056,7 +2055,7 @@ mod tests {
                 pes: 3,
                 max_states: 500,
                 corpus: Some("/tmp/corp".into()),
-                oracles: Some("base,engine:2".into()),
+                oracles: Some("base,engine".into()),
                 serve: false,
                 serve_addr: None,
                 replay: None,

@@ -119,9 +119,9 @@ impl MetaAutomaton {
     /// the start state (successor lists visited in stored order). Two
     /// automatons with the same reachable structure — regardless of the
     /// discovery order that built them — become bit-identical, which is
-    /// how the parallel converter's output is normalized against the
-    /// sequential one. Unreachable meta states (possible after external
-    /// surgery) are appended in their original relative order.
+    /// how the engine puts its output into a normal form. Unreachable meta
+    /// states (possible after external surgery) are appended in their
+    /// original relative order.
     pub fn canonicalize(&mut self) {
         let n = self.sets.len();
         if n == 0 {

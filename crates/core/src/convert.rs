@@ -29,6 +29,7 @@ use msc_ir::graph::GraphError;
 use msc_ir::util::{FxHashMap, FxHashSet};
 use msc_ir::{CostModel, MimdGraph, StateId, Terminator};
 use std::fmt;
+use std::time::Instant;
 
 /// Which successor-choice rule the subset construction uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,6 +161,9 @@ pub enum ConvertError {
         /// Restarts performed before giving up.
         restarts: u32,
     },
+    /// The deadline passed to [`convert_with_deadline`] expired before the
+    /// construction finished.
+    TimedOut,
 }
 
 impl fmt::Display for ConvertError {
@@ -187,6 +191,7 @@ impl fmt::Display for ConvertError {
                     "time splitting did not converge after {restarts} restarts"
                 )
             }
+            ConvertError::TimedOut => write!(f, "conversion deadline exceeded"),
         }
     }
 }
@@ -223,6 +228,18 @@ pub fn convert_with_stats(
     graph: &MimdGraph,
     opts: &ConvertOptions,
 ) -> Result<(MetaAutomaton, ConvertStats), ConvertError> {
+    convert_with_deadline(graph, opts, None)
+}
+
+/// [`convert_with_stats`] with a cooperative deadline, checked once per
+/// popped meta state and at every time-split restart; past it the
+/// construction stops with [`ConvertError::TimedOut`].
+pub fn convert_with_deadline(
+    graph: &MimdGraph,
+    opts: &ConvertOptions,
+    deadline: Option<Instant>,
+) -> Result<(MetaAutomaton, ConvertStats), ConvertError> {
+    let expired = || deadline.is_some_and(|d| Instant::now() > d);
     let _span = msc_obs::span("convert.run");
     graph.validate()?;
     let mut g = graph.clone();
@@ -234,6 +251,9 @@ pub fn convert_with_stats(
         .unwrap_or(0);
 
     'restart: loop {
+        if expired() {
+            return Err(ConvertError::TimedOut);
+        }
         let mut arena = SetArena::with_budget(opts.memory_budget);
         let mut sets_in_order: Vec<SetId> = Vec::new();
         let mut succs: Vec<Vec<MetaId>> = Vec::new();
@@ -304,6 +324,9 @@ pub fn convert_with_stats(
 
         let mut scratch = SuccScratch::default();
         while let Some(m) = worklist.pop_front().map(MetaId) {
+            if expired() {
+                return Err(ConvertError::TimedOut);
+            }
             in_worklist[m.idx()] = false;
             msc_obs::value("convert.worklist_depth", worklist.len() as u64);
 
@@ -370,31 +393,10 @@ pub fn convert_with_stats(
     }
 }
 
-/// Frontier-expansion hook for external drivers (e.g. the parallel engine
-/// in `msc-engine`): enumerate the `(visible members, latent waits)`
-/// successor pairs of one meta state exactly as the sequential worklist
-/// loop does, returning the candidate-set count alongside (the
-/// [`ConvertStats::successor_sets_enumerated`] contribution).
-///
-/// The expansion of a meta state depends only on `(graph, members, latent,
-/// opts)` — not on any converter-global state — which is what makes the
-/// frontier safely parallelizable.
-pub fn expand_frontier(
-    graph: &MimdGraph,
-    members: &StateSet,
-    latent: &StateSet,
-    opts: &ConvertOptions,
-) -> Result<(Vec<(StateSet, StateSet)>, u64), ConvertError> {
-    let mut stats = ConvertStats::default();
-    let mut scratch = SuccScratch::default();
-    let targets = successor_sets(graph, members, latent, opts, &mut stats, &mut scratch)?;
-    Ok((targets, stats.successor_sets_enumerated))
-}
-
 /// §2.6 `barrier_sync`: if some but not all members of `set` are barrier
 /// waits, remove the barrier waits; if *all* members are barrier waits the
 /// set passes through unchanged (everyone reached the barrier).
-pub fn apply_barrier(graph: &MimdGraph, set: StateSet, opts: &ConvertOptions) -> StateSet {
+fn apply_barrier(graph: &MimdGraph, set: StateSet, opts: &ConvertOptions) -> StateSet {
     if !opts.respect_barriers {
         return set;
     }
@@ -883,6 +885,41 @@ mod tests {
         opts.max_meta_states = 10;
         let err = convert(&g, &opts).unwrap_err();
         assert_eq!(err, ConvertError::TooManyMetaStates { limit: 10 });
+    }
+
+    #[test]
+    fn expired_deadline_times_out_before_the_guard_trips() {
+        // Twelve independent self-loops behind one fan-out: the full
+        // construction overflows a 300-state guard, so only an early
+        // deadline check can report TimedOut instead.
+        let mut g = MimdGraph::new();
+        let end = g.add(MimdState::new(vec![], Terminator::Halt));
+        let loops: Vec<StateId> = (0..12)
+            .map(|i| g.add(MimdState::new(vec![Op::Push(i)], Terminator::Halt)))
+            .collect();
+        for &l in &loops {
+            g.state_mut(l).term = Terminator::Branch { t: l, f: end };
+        }
+        g.start = g.add(MimdState::new(vec![], Terminator::Multi(loops)));
+        let past = Instant::now() - std::time::Duration::from_secs(1);
+        let base = ConvertOptions {
+            max_meta_states: 300,
+            ..ConvertOptions::base()
+        };
+        let split = ConvertOptions {
+            time_split: Some(TimeSplitOptions::default()),
+            ..base.clone()
+        };
+        for opts in [&base, &split] {
+            assert_eq!(
+                convert_with_stats(&g, opts).unwrap_err(),
+                ConvertError::TooManyMetaStates { limit: 300 }
+            );
+            assert_eq!(
+                convert_with_deadline(&g, opts, Some(past)).unwrap_err(),
+                ConvertError::TimedOut
+            );
+        }
     }
 
     #[test]

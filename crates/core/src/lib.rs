@@ -22,8 +22,8 @@ pub mod subsume;
 
 pub use automaton::{MetaAutomaton, MetaId};
 pub use convert::{
-    apply_barrier, barrier_sync, convert, convert_with_stats, expand_frontier, ConvertError,
-    ConvertMode, ConvertOptions, ConvertStats, TimeSplitOptions,
+    barrier_sync, convert, convert_with_deadline, convert_with_stats, ConvertError, ConvertMode,
+    ConvertOptions, ConvertStats, TimeSplitOptions,
 };
 pub use spill::{default_memory_budget, parse_bytes, SegmentStore, SpillQueue};
-pub use stateset::{fx_hash, SetArena, SetId, StateSet, UnionScratch};
+pub use stateset::{SetArena, SetId, StateSet, UnionScratch};

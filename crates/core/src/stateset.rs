@@ -19,10 +19,7 @@
 //! O(1). The representation is **canonical** — a set has ≤ `SMALL_MAX`
 //! members if and only if it is `Small`, every operation re-normalizes,
 //! and unused inline slots are zeroed — so structural equality and hashing
-//! never need to compare across variants. Hash stability matters beyond
-//! this crate: the parallel engine shards its interner by the set's Fx
-//! hash, and identical hashing on every shard (and every thread) is what
-//! keeps its output bit-identical to the sequential converter.
+//! never need to compare across variants.
 //!
 //! Sets are interned in a [`SetArena`]: each distinct set is stored once
 //! and referred to by a compact [`SetId`] handle. Dense bitsets cope fine
@@ -673,8 +670,8 @@ impl FromIterator<StateId> for StateSet {
     }
 }
 
-/// The set's Fx hash — the key both the arena and the engine's sharded
-/// interner bucket by, so a set hashes identically everywhere.
+/// The set's Fx hash — the key the arena and the successor-set dedup
+/// table bucket by, so a set hashes identically everywhere.
 pub fn fx_hash(set: &StateSet) -> u64 {
     let mut h = FxHasher::default();
     set.hash(&mut h);

@@ -4,16 +4,18 @@
 //! answers "how do I run many conversions fast, repeatedly, without
 //! recomputing what I already know". Three pieces:
 //!
-//! * [`parallel`] — frontier-parallel meta-state conversion over a sharded
-//!   state-set interner, bit-identical to the sequential converter after
-//!   canonical BFS renumbering (see the module docs for the scheme);
+//! * canonical conversion — the sequential `msc-core` subset
+//!   construction, then unreachable states pruned, BFS renumbering, and
+//!   the subsumption fold, so the automaton depends only on the graph and
+//!   options (public as [`convert_parallel`], a name kept for the
+//!   benchmark harness);
 //! * [`cache`] — a content-addressed compile cache keyed by the hash of
 //!   (source, conversion options, codegen options, IR passes), with a
 //!   bounded in-memory LRU and an optional on-disk layer;
 //! * [`Engine`] — the service wrapper: [`Engine::compile`] for one job,
-//!   [`Engine::compile_many`] for a batch over a worker pool with per-job
-//!   cooperative timeouts and panic capture (one poisoned job yields one
-//!   errored slot, never a sunk batch).
+//!   [`Engine::compile_many`] for a batch over a pool of compile workers
+//!   with per-job cooperative timeouts and panic capture (one poisoned
+//!   job yields one errored slot, never a sunk batch).
 //!
 //! ```
 //! use msc_engine::{Engine, EngineOptions, Job};
@@ -29,21 +31,23 @@
 
 pub mod cache;
 pub mod flight;
-pub mod parallel;
 
 pub use cache::{cache_key, content_key, CacheKey, CacheLayer, CacheStats, CompileCache};
 pub use flight::{Flight, Singleflight};
 pub use msc_cache::{BreakerState, PeerConfig, PeerStatus, TierStatus};
-pub use parallel::{convert_parallel, convert_parallel_deadline, ParallelError};
 
 use msc_codegen::{generate, GenError, GenOptions};
-use msc_core::{ConvertError, ConvertOptions, ConvertStats, MetaAutomaton};
+use msc_core::{
+    convert_with_deadline, subsume::subsume, ConvertError, ConvertOptions, ConvertStats,
+    MetaAutomaton,
+};
+use msc_ir::MimdGraph;
 use msc_lang::{compile, CompileError, Program};
 use msc_simd::SimdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Wall-clock cost of each pipeline phase of one fresh compile.
@@ -237,14 +241,15 @@ impl From<GenError> for EngineError {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Worker threads for conversion and batches (0 = all available).
+    /// Compile workers for [`Engine::compile_many`] batches (0 = all
+    /// available). Each job converts on the worker that runs it.
     pub threads: usize,
     /// In-memory cache capacity in artifacts (0 disables it).
     pub cache_capacity: usize,
     /// On-disk cache directory (None disables the disk layer).
     pub cache_dir: Option<PathBuf>,
-    /// Per-job cooperative timeout, checked at phase boundaries and
-    /// between frontier expansions (None = unbounded).
+    /// Per-job cooperative timeout, checked at phase boundaries and once
+    /// per meta state the conversion expands (None = unbounded).
     pub job_timeout: Option<Duration>,
     /// Sibling daemons (`host:port` each) to consult for artifacts
     /// before compiling locally (empty disables the peer tier).
@@ -266,7 +271,7 @@ impl Default for EngineOptions {
     }
 }
 
-/// The compilation service: parallel conversion + cache + batch driver.
+/// The compilation service: canonical conversion + cache + batch driver.
 pub struct Engine {
     opts: EngineOptions,
     cache: CompileCache,
@@ -296,7 +301,7 @@ impl Engine {
         }
     }
 
-    /// Resolved worker-thread count.
+    /// Resolved batch worker count.
     pub fn threads(&self) -> usize {
         if self.opts.threads == 0 {
             std::thread::available_parallelism()
@@ -336,15 +341,10 @@ impl Engine {
         self.cache.tier_status()
     }
 
-    /// Compile one job, using every engine thread for the conversion.
-    pub fn compile(&self, job: &Job) -> Result<Compiled, EngineError> {
-        self.compile_with_threads(job, self.threads())
-    }
-
     /// Compile a batch. Jobs are distributed over a pool of up to
-    /// [`threads`](Self::threads) workers (conversion threads are divided
-    /// among concurrent jobs); each slot carries its own job's outcome —
-    /// an error or panic in one job never affects its neighbours.
+    /// [`threads`](Self::threads) workers; each slot carries its own job's
+    /// outcome — an error or panic in one job never affects its
+    /// neighbours.
     pub fn compile_many(&self, jobs: &[Job]) -> Vec<Result<Compiled, EngineError>> {
         self.compile_many_with_metrics(jobs)
             .into_iter()
@@ -363,44 +363,47 @@ impl Engine {
             return Vec::new();
         }
         let pool = self.threads().min(jobs.len()).max(1);
-        let per_job_threads = (self.threads() / pool).max(1);
         let next = AtomicUsize::new(0);
-        let results: Vec<parking_lot::Mutex<Option<BatchOutcome>>> =
-            jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-        crossbeam::thread::scope(|s| {
+        let results: Vec<Mutex<Option<BatchOutcome>>> =
+            jobs.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|s| {
             for _ in 0..pool {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= jobs.len() {
                         return;
                     }
                     let job = &jobs[i];
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        self.compile_with_threads(job, per_job_threads)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        msc_obs::count("engine.job_panicked", 1);
-                        Err(EngineError::Panicked {
-                            job: job.name.clone(),
-                            message: panic_message(payload.as_ref()),
-                        })
-                    });
+                    let result = catch_unwind(AssertUnwindSafe(|| self.compile(job)))
+                        .unwrap_or_else(|payload| {
+                            msc_obs::count("engine.job_panicked", 1);
+                            Err(EngineError::Panicked {
+                                job: job.name.clone(),
+                                message: panic_message(payload.as_ref()),
+                            })
+                        });
                     if result.is_err() {
                         msc_obs::count("engine.job_failed", 1);
                     }
                     let metrics = job_metrics(&result);
-                    *results[i].lock() = Some(BatchOutcome { result, metrics });
+                    *results[i].lock().unwrap_or_else(|p| p.into_inner()) =
+                        Some(BatchOutcome { result, metrics });
                 });
             }
-        })
-        .expect("batch workers contain their panics");
+        });
         results
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every job slot filled"))
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .expect("every job slot filled")
+            })
             .collect()
     }
 
-    fn compile_with_threads(&self, job: &Job, threads: usize) -> Result<Compiled, EngineError> {
+    /// Compile one job: a cache hit, a share of a concurrent identical
+    /// compile, or a fresh run of the pipeline.
+    pub fn compile(&self, job: &Job) -> Result<Compiled, EngineError> {
         // Deliberate panic site for the batch isolation tests: no natural
         // input panics the pipeline, so the tests opt in by job name.
         #[cfg(test)]
@@ -461,7 +464,7 @@ impl Engine {
         // No peer had it: this request is the one that compiles (and the
         // one that counts the miss for the whole coalesced group).
         self.cache.note_miss();
-        let result = self.compile_fresh(job, key, threads);
+        let result = self.compile_fresh(job, key);
         leader.publish(match &result {
             Ok(c) => Ok(Arc::clone(&c.artifact)),
             Err(e) => Err(e.to_string()),
@@ -472,12 +475,7 @@ impl Engine {
 
     /// The actual pipeline run for a cache-missed job. Inserts the
     /// artifact into the cache on success.
-    fn compile_fresh(
-        &self,
-        job: &Job,
-        key: CacheKey,
-        threads: usize,
-    ) -> Result<Compiled, EngineError> {
+    fn compile_fresh(&self, job: &Job, key: CacheKey) -> Result<Compiled, EngineError> {
         // Deliberate slow/panic sites for the singleflight tests:
         // overlapping identical jobs need a compile that reliably outlives
         // the followers' arrival.
@@ -511,13 +509,11 @@ impl Engine {
             return Err(timed_out());
         }
 
-        let (automaton, stats) =
-            convert_parallel_deadline(&compiled.graph, &job.convert, threads, deadline).map_err(
-                |e| match e {
-                    ParallelError::Convert(e) => EngineError::Convert(e),
-                    ParallelError::TimedOut => timed_out(),
-                },
-            )?;
+        let (automaton, stats) = convert_canonical(&compiled.graph, &job.convert, deadline)
+            .map_err(|e| match e {
+                ConvertError::TimedOut => timed_out(),
+                e => EngineError::Convert(e),
+            })?;
         let t2 = Instant::now();
 
         let simd = generate(
@@ -552,6 +548,43 @@ impl Engine {
             provenance: Provenance::Fresh,
         })
     }
+}
+
+/// The engine's canonical conversion with no deadline.
+///
+/// `_threads` has no effect: conversion always runs the sequential core
+/// converter. The parameter is kept only because the benchmark harness
+/// (`perfbench/src/pipeline.rs`) calls this signature.
+pub fn convert_parallel(
+    graph: &MimdGraph,
+    opts: &ConvertOptions,
+    _threads: usize,
+) -> Result<(MetaAutomaton, ConvertStats), ConvertError> {
+    convert_canonical(graph, opts, None)
+}
+
+/// Core conversion with subsumption deferred, normalized so the automaton
+/// depends only on `(graph, opts)`: drop unreachable states (latent
+/// widening can orphan sets interned along the way), BFS-renumber the
+/// rest, then run the subsumption fold if requested and renumber again
+/// since the fold compacts ids.
+fn convert_canonical(
+    graph: &MimdGraph,
+    opts: &ConvertOptions,
+    deadline: Option<Instant>,
+) -> Result<(MetaAutomaton, ConvertStats), ConvertError> {
+    let build_opts = ConvertOptions {
+        subsumption: false,
+        ..opts.clone()
+    };
+    let (mut automaton, mut stats) = convert_with_deadline(graph, &build_opts, deadline)?;
+    automaton.prune_unreachable();
+    automaton.canonicalize();
+    if opts.subsumption {
+        stats.subsumed += subsume(&mut automaton);
+        automaton.canonicalize();
+    }
+    Ok((automaton, stats))
 }
 
 /// The content-addressed cache key a job compiles under — the same key
@@ -705,6 +738,7 @@ mod tests {
 
     #[test]
     fn batch_shares_the_cache() {
+        let _obs = isolate_obs();
         let engine = Engine::new(EngineOptions {
             threads: 4,
             ..EngineOptions::default()
@@ -771,6 +805,14 @@ mod tests {
         assert!(matches!(err, EngineError::TimedOut { .. }), "{err:?}");
     }
 
+    /// Hold the obs install lock with a throwaway registry, so a test
+    /// whose requests coalesce cannot add `engine.coalesced` counts to the
+    /// registry `concurrent_identical_jobs_compile_exactly_once` installs
+    /// and counts exactly.
+    fn isolate_obs() -> msc_obs::InstallGuard {
+        msc_obs::install(Arc::new(msc_obs::Registry::new()))
+    }
+
     /// Start a leader compiling `job` (whose `__slow_for_test__` /
     /// `__panic_in_flight_for_test__` name keeps it in flight for
     /// ~150ms), give it `lead_ms` of head start, then run `followers`
@@ -830,6 +872,7 @@ mod tests {
 
     #[test]
     fn coalesced_requests_share_the_leaders_failure() {
+        let _obs = isolate_obs();
         let engine = Engine::new(EngineOptions::default());
         // Slow so the follower reliably coalesces; bad source so the
         // leader's compile fails after the flight is joined.
@@ -855,6 +898,7 @@ mod tests {
 
     #[test]
     fn panicking_leader_releases_its_followers() {
+        let _obs = isolate_obs();
         let engine = Engine::new(EngineOptions::default());
         let job = Job::new("__panic_in_flight_for_test__", PROG);
         let (leader, followers) = race_identical(&engine, &job, 1);
@@ -957,6 +1001,7 @@ mod tests {
 
     #[test]
     fn cold_burst_on_one_node_costs_one_peer_round_trip() {
+        let _obs = isolate_obs();
         let donor = Arc::new(Engine::new(EngineOptions::default()));
         let job = Job::new("burst", PROG);
         donor.compile(&job).unwrap();

@@ -37,8 +37,8 @@ pub enum Oracle {
     TimeSplit,
     /// Base mode with common subexpression induction disabled.
     NoCsi,
-    /// The parallel engine at this thread count (canonical artifacts).
-    Engine(usize),
+    /// The compile engine (canonical artifacts).
+    Engine,
     /// Cold compile, then reload through the on-disk cache: the two
     /// artifacts must be byte-identical and run identically.
     Cache,
@@ -62,7 +62,7 @@ impl Oracle {
             Oracle::Compressed => "compressed".into(),
             Oracle::TimeSplit => "timesplit".into(),
             Oracle::NoCsi => "nocsi".into(),
-            Oracle::Engine(n) => format!("engine:{n}"),
+            Oracle::Engine => "engine".into(),
             Oracle::Cache => "cache".into(),
             Oracle::Serve => "serve".into(),
             Oracle::Regex => "regex".into(),
@@ -78,22 +78,16 @@ impl Oracle {
             "compressed" => Oracle::Compressed,
             "timesplit" => Oracle::TimeSplit,
             "nocsi" => Oracle::NoCsi,
+            "engine" => Oracle::Engine,
             "cache" => Oracle::Cache,
             "serve" => Oracle::Serve,
             "regex" => Oracle::Regex,
             "selftest" => Oracle::SelfTest,
             other => {
-                if let Some(n) = other.strip_prefix("engine:") {
-                    let n: usize = n
-                        .parse()
-                        .map_err(|_| format!("bad engine thread count in `{other}`"))?;
-                    Oracle::Engine(n.max(1))
-                } else {
-                    return Err(format!(
-                        "unknown oracle `{other}` (try interp, base, compressed, timesplit, \
-                         nocsi, engine:N, cache, serve, regex, selftest)"
-                    ));
-                }
+                return Err(format!(
+                    "unknown oracle `{other}` (try interp, base, compressed, timesplit, \
+                     nocsi, engine, cache, serve, regex, selftest)"
+                ))
             }
         })
     }
@@ -116,9 +110,7 @@ impl Oracle {
             Oracle::Compressed,
             Oracle::TimeSplit,
             Oracle::NoCsi,
-            Oracle::Engine(1),
-            Oracle::Engine(2),
-            Oracle::Engine(8),
+            Oracle::Engine,
             Oracle::Cache,
             Oracle::Regex,
         ]
@@ -126,7 +118,7 @@ impl Oracle {
 
     /// Members of the bit-identity group (engine + cache round-trip).
     pub fn bit_identical(&self) -> bool {
-        matches!(self, Oracle::Engine(_) | Oracle::Cache)
+        matches!(self, Oracle::Engine | Oracle::Cache)
     }
 }
 
@@ -457,15 +449,11 @@ fn engine_job(src: &str, cfg: &OracleConfig) -> Job {
 
 fn run_engine(
     src: &str,
-    threads: usize,
     total: usize,
     live: usize,
     cfg: &OracleConfig,
 ) -> Result<Execution, OracleError> {
-    let engine = Engine::new(EngineOptions {
-        threads,
-        ..EngineOptions::default()
-    });
+    let engine = Engine::new(EngineOptions::default());
     let out = match engine.compile(&engine_job(src, cfg)) {
         Ok(c) => c,
         Err(EngineError::Convert(msc_core::ConvertError::TooManyMetaStates { .. })) => {
@@ -492,13 +480,12 @@ fn run_cache_roundtrip(
         CACHE_CASE.fetch_add(1, Ordering::Relaxed)
     ));
     let result = (|| {
-        let disk_opts = |threads| EngineOptions {
-            threads,
+        let disk_opts = || EngineOptions {
             cache_dir: Some(dir.clone()),
             ..EngineOptions::default()
         };
         let job = engine_job(src, cfg);
-        let cold_engine = Engine::new(disk_opts(1));
+        let cold_engine = Engine::new(disk_opts());
         let cold = match cold_engine.compile(&job) {
             Ok(c) => c,
             Err(EngineError::Convert(msc_core::ConvertError::TooManyMetaStates { .. })) => {
@@ -515,7 +502,7 @@ fn run_cache_roundtrip(
         drop(cold_engine);
         // A brand-new engine over the same directory can only be served
         // by the disk layer.
-        let warm_engine = Engine::new(disk_opts(1));
+        let warm_engine = Engine::new(disk_opts());
         let warm = warm_engine
             .compile(&job)
             .map_err(|e| OracleError::Fail(format!("cache reload: {e}")))?;
@@ -610,7 +597,7 @@ pub fn run_oracle(
         | Oracle::TimeSplit
         | Oracle::NoCsi
         | Oracle::SelfTest => run_pipeline_oracle(oracle, src, total, live, cfg),
-        Oracle::Engine(n) => run_engine(src, *n, total, live, cfg),
+        Oracle::Engine => run_engine(src, total, live, cfg),
         Oracle::Cache => run_cache_roundtrip(src, total, live, cfg),
         Oracle::Serve => run_serve(src, total, live, cfg),
         Oracle::Regex => Err(OracleError::Fail(
@@ -753,10 +740,13 @@ mod tests {
         for o in Oracle::default_set() {
             assert_eq!(Oracle::parse(&o.label()).unwrap(), o);
         }
-        assert_eq!(Oracle::parse("engine:4").unwrap(), Oracle::Engine(4));
         assert!(Oracle::parse("warp-drive").is_err());
-        let list = Oracle::parse_list("base, interp,engine:2").unwrap();
-        assert_eq!(list, vec![Oracle::Base, Oracle::Interp, Oracle::Engine(2)]);
+        // The engine has one conversion path, so no per-thread-count
+        // variants exist; the error points at the plain label.
+        let err = Oracle::parse("engine:2").unwrap_err();
+        assert!(err.contains("engine,"), "{err}");
+        let list = Oracle::parse_list("base, interp,engine").unwrap();
+        assert_eq!(list, vec![Oracle::Base, Oracle::Interp, Oracle::Engine]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub struct Reproducer {
     pub seed: u64,
     /// Case index within the run (with `seed`, regenerates the program).
     pub case_index: u64,
-    /// Label of the diverging oracle (`engine:2`, `bit-identity`, ...).
+    /// Label of the diverging oracle (`engine`, `bit-identity`, ...).
     pub oracle: String,
     /// Human-readable description of the divergence.
     pub detail: String,
@@ -187,7 +187,7 @@ mod tests {
         Reproducer {
             seed: 1,
             case_index: 42,
-            oracle: "engine:2".into(),
+            oracle: "engine".into(),
             detail: "per-PE results diverged".into(),
             expected: vec![4321, 4321, 4322],
             actual: vec![4321, 4321, 4323],
@@ -207,7 +207,12 @@ mod tests {
 
     #[test]
     fn file_name_is_filesystem_safe() {
-        assert_eq!(sample().file_name(), "case-00042-engine-2.json");
+        assert_eq!(sample().file_name(), "case-00042-engine.json");
+        let odd = Reproducer {
+            oracle: "../x:y".into(),
+            ..sample()
+        };
+        assert_eq!(odd.file_name(), "case-00042----x-y.json");
     }
 
     #[test]

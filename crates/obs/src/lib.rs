@@ -1,6 +1,6 @@
 //! # msc-obs — zero-cost structured tracing and metrics
 //!
-//! Every hot layer of the pipeline (the core converter, the parallel
+//! Every hot layer of the pipeline (the core converter, the compile
 //! engine, the compile cache, the SIMD machine) emits typed events through
 //! this crate instead of keeping one-off stats structs. The design goal is
 //! **true zero cost when nobody is listening**: every emit helper first
@@ -49,7 +49,7 @@
 //! ## Naming convention
 //!
 //! Dotted lowercase paths, `layer.thing`: `convert.fanout`, `cache.hit`,
-//! `engine.shard_contention`, `simd.dispatch_live`. Adding a counter to an
+//! `engine.coalesced`, `simd.dispatch_live`. Adding a counter to an
 //! instrumented crate is one line at the emission site plus (optionally) a
 //! row in DESIGN.md §10's schema table — the registry and sinks pick up
 //! new names automatically.

@@ -71,8 +71,6 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Admission queue depth; beyond it connections are shed with 503.
     pub queue_depth: usize,
-    /// Conversion threads *per request* (1 keeps workers independent).
-    pub engine_threads: usize,
     /// On-disk compile cache directory.
     pub cache_dir: Option<PathBuf>,
     /// Per-request compile deadline (the engine's cooperative timeout).
@@ -110,7 +108,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:7643".to_string(),
             workers: 0,
             queue_depth: 64,
-            engine_threads: 1,
             cache_dir: None,
             job_timeout: Some(Duration::from_secs(30)),
             limits: Limits::default(),
@@ -222,7 +219,7 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             engine: Engine::new(EngineOptions {
-                threads: opts.engine_threads.max(1),
+                threads: 1,
                 cache_dir: opts.cache_dir.clone(),
                 job_timeout: opts.job_timeout,
                 peers: opts.peers.clone(),

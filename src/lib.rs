@@ -42,8 +42,7 @@ pub use msc_codegen::render::render_mpl;
 pub use msc_codegen::{generate, GenOptions};
 pub use msc_core::{convert, ConvertMode, ConvertOptions, MetaAutomaton, MetaId, TimeSplitOptions};
 pub use msc_engine::{
-    convert_parallel, Artifact, CacheStats, Compiled, Engine, EngineError, EngineOptions, Job,
-    Provenance,
+    Artifact, CacheStats, Compiled, Engine, EngineError, EngineOptions, Job, Provenance,
 };
 pub use msc_ir::{CostModel, MimdGraph};
 pub use msc_lang::compile as compile_mimdc;

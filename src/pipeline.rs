@@ -198,7 +198,7 @@ impl Pipeline {
     }
 
     /// Turn the pipeline into an [`msc_engine::Job`] with the given label,
-    /// for submission to an [`Engine`] (parallel conversion, compile
+    /// for submission to an [`Engine`] (canonical conversion, compile
     /// cache, batching).
     pub fn into_job(self, name: impl Into<String>) -> Job {
         Job {
@@ -211,8 +211,8 @@ impl Pipeline {
         }
     }
 
-    /// Run the pipeline through an [`Engine`]: conversion is frontier-
-    /// parallel and the result may be served from the engine's cache. The
+    /// Run the pipeline through an [`Engine`]: the result may be served
+    /// from the engine's cache. The
     /// returned [`Compiled`] carries the artifact plus its provenance
     /// (fresh / memory hit / disk hit). Note the engine canonicalizes the
     /// automaton (deterministic BFS renumbering), so meta-state *numbering*
