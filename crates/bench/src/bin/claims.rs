@@ -888,8 +888,10 @@ fn regex_haystack(len: usize) -> Vec<u8> {
 
 /// One regex measurement pass: meta-automaton throughput at 1/2/8
 /// threads over a 2 MiB haystack, the naive reference over a small slice
-/// (it is algorithmically far slower), and the span-agreement invariant.
+/// (it is algorithmically far slower), the span-agreement invariant, and
+/// the adversarial scan at 16, 32 and 64 KiB.
 fn measure_regex() -> msc_bench::regression::RegexMeasurement {
+    use msc_bench::regression::ADVERSARIAL_KIB;
     use msc_regex::Regex;
     let re = Regex::new(REGEX_PATTERN).expect("bench pattern compiles");
     let hay = regex_haystack(1 << 21);
@@ -914,6 +916,13 @@ fn measure_regex() -> msc_bench::regression::RegexMeasurement {
     // plenty to measure its per-byte cost.
     let naive_slice = &hay[..1 << 12];
     let naive_ns = time_ns(|| re.naive_find_all(naive_slice).len());
+    // `a*b` over all-`a`: every attempt could still match, so a matcher
+    // that runs each attempt until its DFA dies is quadratic here.
+    let adversarial = Regex::new(ADVERSARIAL_PATTERN).expect("adversarial pattern compiles");
+    let adversarial_ms = ADVERSARIAL_KIB.map(|kib| {
+        let text = vec![b'a'; kib << 10];
+        time_ns(|| adversarial.find_all(&text).len()) / 1e6
+    });
     msc_bench::regression::RegexMeasurement {
         naive_mbps: mbps(naive_slice.len(), naive_ns),
         t1_mbps,
@@ -921,8 +930,12 @@ fn measure_regex() -> msc_bench::regression::RegexMeasurement {
         t8_mbps,
         matches: seq.len() as u64,
         spans_agree: agree,
+        adversarial_ms,
     }
 }
+
+/// The adversarial row's pattern, scanned over all-`a` inputs.
+const ADVERSARIAL_PATTERN: &str = "a*b";
 
 /// `claims -- regex`: measure the regex front-end and write the
 /// committed `BENCH_regex.json` baseline.
@@ -946,14 +959,20 @@ fn regex() {
         m.t8_mbps / m.t1_mbps,
         m.spans_agree
     );
+    print_adversarial(&m);
     assert!(m.spans_agree, "sharded spans diverged from sequential");
+    let [a16, a32, a64] = m.adversarial_ms;
     let json = format!(
         "{{\n  \"generated_by\": \"cargo run --release -p msc-bench --bin claims -- regex\",\n  \
          \"pattern\": \"{REGEX_PATTERN}\",\n  \"haystack_bytes\": {},\n  \
          \"matches\": {},\n  \"naive_mbps\": {:.2},\n  \"t1_mbps\": {:.2},\n  \
          \"t2_mbps\": {:.2},\n  \"t8_mbps\": {:.2},\n  \
          \"dfa_vs_naive_speedup\": {:.2},\n  \"t2_vs_t1\": {:.3},\n  \"t8_vs_t1\": {:.3},\n  \
-         \"targets\": {{\n    \"t1_mbps_min\": 10.0,\n    \"t8_vs_t1_min\": 0.5\n  }}\n}}\n",
+         \"adversarial_pattern\": \"{ADVERSARIAL_PATTERN}\",\n  \
+         \"adversarial_ms\": {{\"16k\": {a16:.4}, \"32k\": {a32:.4}, \"64k\": {a64:.4}}},\n  \
+         \"adversarial_64k_vs_16k\": {:.2},\n  \
+         \"targets\": {{\n    \"t1_mbps_min\": 10.0,\n    \"t8_vs_t1_min\": 0.5,\n    \
+         \"adversarial_ratio_max\": 6.0\n  }}\n}}\n",
         1usize << 21,
         m.matches,
         m.naive_mbps,
@@ -963,11 +982,27 @@ fn regex() {
         m.dfa_vs_naive(),
         m.t2_mbps / m.t1_mbps,
         m.t8_mbps / m.t1_mbps,
+        m.adversarial_ratio(),
     );
     std::fs::write("BENCH_regex.json", &json).expect("write BENCH_regex.json");
     println!("\n   wrote BENCH_regex.json");
     println!("   shape check: the compiled meta-automaton beats the naive reference by");
-    println!("   an order of magnitude, and sharded throughput does not collapse.\n");
+    println!("   an order of magnitude, sharded throughput does not collapse, and the");
+    println!("   adversarial scan scales linearly.\n");
+}
+
+/// The adversarial row: `a*b` over all-`a` at each size, and the ratio
+/// the gate bounds.
+fn print_adversarial(m: &msc_bench::regression::RegexMeasurement) {
+    use msc_bench::regression::ADVERSARIAL_KIB;
+    println!("\nadversarial {ADVERSARIAL_PATTERN:?} over all-`a`");
+    for (kib, ms) in ADVERSARIAL_KIB.iter().zip(m.adversarial_ms) {
+        println!("{kib:3} KiB | {ms:9.4} ms");
+    }
+    println!(
+        "64 KiB / 16 KiB time ratio {:.2} (linear ~4, quadratic ~16)",
+        m.adversarial_ratio()
+    );
 }
 
 /// `claims -- regex --check`: re-measure the regex front-end and gate it
@@ -998,20 +1033,28 @@ fn regex_check() -> bool {
         baseline.t8_vs_t1_min,
         m.spans_agree
     );
+    print_adversarial(&m);
+    println!("(ceiling {:.1})", baseline.adversarial_ratio_max);
     write_remeasured(
         "regex",
         &format!(
             "{{\n  \"generated_by\": \"claims -- regex --check\",\n  \
              \"naive_mbps\": {:.2},\n  \"t1_mbps\": {:.2},\n  \"t2_mbps\": {:.2},\n  \
              \"t8_mbps\": {:.2},\n  \"dfa_vs_naive_speedup\": {:.2},\n  \
-             \"matches\": {},\n  \"spans_agree\": {}\n}}\n",
+             \"matches\": {},\n  \"spans_agree\": {},\n  \
+             \"adversarial_ms\": [{:.4}, {:.4}, {:.4}],\n  \
+             \"adversarial_64k_vs_16k\": {:.2}\n}}\n",
             m.naive_mbps,
             m.t1_mbps,
             m.t2_mbps,
             m.t8_mbps,
             m.dfa_vs_naive(),
             m.matches,
-            m.spans_agree
+            m.spans_agree,
+            m.adversarial_ms[0],
+            m.adversarial_ms[1],
+            m.adversarial_ms[2],
+            m.adversarial_ratio()
         ),
     );
     let failures = check_regex(&baseline, &m, 0.50);

@@ -193,7 +193,13 @@ pub struct RegexBaseline {
     /// Absolute floor on the 8-thread/1-thread throughput ratio from
     /// `targets` (stitching must not collapse sharded throughput).
     pub t8_vs_t1_min: f64,
+    /// Ceiling on the adversarial scan's 64 KiB / 16 KiB time ratio from
+    /// `targets`: about 4 when matching is linear, 16 when quadratic.
+    pub adversarial_ratio_max: f64,
 }
+
+/// Input sizes of the adversarial row (`a*b` over all-`a`), in KiB.
+pub const ADVERSARIAL_KIB: [usize; 3] = [16, 32, 64];
 
 /// One re-measured regex run, shaped for [`check_regex`].
 #[derive(Debug, Clone, PartialEq)]
@@ -205,12 +211,19 @@ pub struct RegexMeasurement {
     pub matches: u64,
     /// Did every sharded scan reproduce the sequential spans exactly?
     pub spans_agree: bool,
+    /// Adversarial scan times in ms at each of [`ADVERSARIAL_KIB`].
+    pub adversarial_ms: [f64; 3],
 }
 
 impl RegexMeasurement {
     /// Meta-automaton speedup over the naive reference (1-thread).
     pub fn dfa_vs_naive(&self) -> f64 {
         self.t1_mbps / self.naive_mbps
+    }
+
+    /// Adversarial scan time at 64 KiB over the time at 16 KiB.
+    pub fn adversarial_ratio(&self) -> f64 {
+        self.adversarial_ms[2] / self.adversarial_ms[0]
     }
 }
 
@@ -225,6 +238,7 @@ pub fn parse_regex_baseline(json: &str) -> Option<RegexBaseline> {
         t1_mbps: extract_number(json, "t1_mbps")?,
         t1_mbps_min: extract_number(targets, "t1_mbps_min")?,
         t8_vs_t1_min: extract_number(targets, "t8_vs_t1_min")?,
+        adversarial_ratio_max: extract_number(targets, "adversarial_ratio_max")?,
     })
 }
 
@@ -237,7 +251,9 @@ pub fn parse_regex_baseline(json: &str) -> Option<RegexBaseline> {
 ///   catches collapses);
 /// * **absolute floors** — 1-thread throughput above `t1_mbps_min`, and
 ///   the t8/t1 ratio above `t8_vs_t1_min` (sharding overhead bounded
-///   even on a single-core runner).
+///   even on a single-core runner);
+/// * **linear scaling** — the adversarial scan's 64 KiB / 16 KiB time
+///   ratio at most `adversarial_ratio_max`.
 pub fn check_regex(
     baseline: &RegexBaseline,
     measured: &RegexMeasurement,
@@ -269,6 +285,14 @@ pub fn check_regex(
             "t8/t1 throughput ratio {ratio:.2} below the {:.2} floor \
              (sharded stitching overhead blew up)",
             baseline.t8_vs_t1_min
+        ));
+    }
+    let adversarial = measured.adversarial_ratio();
+    if adversarial.is_nan() || adversarial > baseline.adversarial_ratio_max {
+        failures.push(format!(
+            "adversarial scan time ratio 64 KiB / 16 KiB is {adversarial:.1}, above the \
+             {:.1} ceiling (linear is about 4, quadratic about 16)",
+            baseline.adversarial_ratio_max
         ));
     }
     failures
@@ -795,6 +819,7 @@ mod tests {
             t8_mbps: b.t1_mbps,
             matches: 1,
             spans_agree: true,
+            adversarial_ms: [0.1, 0.2, 0.4],
         }
     }
 
@@ -804,6 +829,18 @@ mod tests {
         assert!(b.dfa_vs_naive_speedup > 10.0, "{b:?}");
         assert!(b.t1_mbps > b.t1_mbps_min, "{b:?}");
         assert_eq!(b.t8_vs_t1_min, 0.5);
+        assert_eq!(b.adversarial_ratio_max, 6.0);
+    }
+
+    #[test]
+    fn quadratic_adversarial_scaling_fails_check() {
+        let b = committed_regex();
+        let mut bad = honest_regex_run(&b);
+        // Quadratic: 4x the input, 16x the time.
+        bad.adversarial_ms = [1.0, 4.0, 16.0];
+        let failures = check_regex(&b, &bad, 0.50);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("adversarial"), "{failures:?}");
     }
 
     #[test]

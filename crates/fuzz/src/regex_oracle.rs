@@ -1,6 +1,7 @@
 //! Differential oracle for the regex front-end: the meta-automaton
 //! matcher (sequential and sharded) versus the independent naive
-//! backtracking reference in `msc_regex::naive`.
+//! backtracking reference in `msc_regex::naive`, plus a resource check:
+//! every scan stays within [`STEPS_PER_BYTE`] DFA steps per input byte.
 //!
 //! The regex case for a fuzz case is *derived* from the rendered MIMDC
 //! source: hashing the source seeds a private RNG that draws a pattern,
@@ -12,7 +13,8 @@
 //! reported detail carries a minimal failing input alongside the pattern.
 
 use crate::rng::Xoshiro256;
-use msc_regex::{Regex, RegexError};
+use msc_regex::matcher::{scan, ScanLimits};
+use msc_regex::{Regex, RegexError, ShardedInput};
 
 /// One derived regex case.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,9 +119,18 @@ fn shard<'a>(input: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
     }
 }
 
+/// The matcher's linear work bound: a scan of `n` bytes takes at most
+/// `STEPS_PER_BYTE * (n + 1)` forward plus reverse DFA steps at any
+/// thread count and block size. A scan's live pass runs at most four
+/// times over each byte (speculative pass plus the next segment's guess,
+/// reconcile, block refill, stitch refill) and its forward walk at most
+/// twice (speculative pass, stitch), so 6 is a bound, not a fit.
+pub const STEPS_PER_BYTE: u64 = 6;
+
 /// Run every engine over one case; `None` means full agreement. The
 /// naive reference is the golden semantics; the sequential DFA and the
-/// sharded DFA at 1 and 2 threads must all reproduce it exactly.
+/// sharded DFA at 1 and 2 threads (default and tiny blocks) must all
+/// reproduce it exactly, within the linear work bound.
 fn diverges(pattern: &Regex, input: &[u8], cuts: &[usize]) -> Option<String> {
     let naive = pattern.naive_find_all(input);
     let seq: Vec<(usize, usize)> = pattern
@@ -133,17 +144,33 @@ fn diverges(pattern: &Regex, input: &[u8], cuts: &[usize]) -> Option<String> {
         ));
     }
     let shards = shard(input, cuts);
-    for threads in [1usize, 2] {
-        let sharded: Vec<(usize, usize)> = pattern
-            .find_sharded(&shards, threads)
-            .into_iter()
-            .map(|m| (m.start, m.end))
-            .collect();
+    let sharded_input = ShardedInput::new(&shards);
+    let tiny = ScanLimits {
+        block: 3,
+        live_cache: 2,
+    };
+    let runs = [
+        (1, ScanLimits::default()),
+        (2, ScanLimits::default()),
+        (2, tiny),
+    ];
+    for (threads, limits) in runs {
+        let (found, stats) = scan(pattern.dfa(), &sharded_input, threads, limits);
+        let sharded: Vec<(usize, usize)> = found.into_iter().map(|m| (m.start, m.end)).collect();
         if sharded != seq {
             return Some(format!(
-                "sharded scan ({} shards, {threads} threads) disagrees with sequential: \
-                 sequential {seq:?}, sharded {sharded:?}",
+                "sharded scan ({} shards, {threads} threads, {limits:?}) disagrees with \
+                 sequential: sequential {seq:?}, sharded {sharded:?}",
                 shards.len()
+            ));
+        }
+        let bound = STEPS_PER_BYTE * (input.len() as u64 + 1);
+        if stats.steps() > bound {
+            return Some(format!(
+                "scan ({threads} threads, {limits:?}) took {} DFA steps over {} bytes, \
+                 above the linear bound {bound}: {stats:?}",
+                stats.steps(),
+                input.len()
             ));
         }
     }
@@ -244,6 +271,20 @@ mod tests {
                 RegexOutcome::Mismatch(d) => panic!("case {i} ({case:?}): {d}"),
                 RegexOutcome::Clean | RegexOutcome::Skip(_) => {}
             }
+        }
+    }
+
+    #[test]
+    fn adversarial_cases_stay_within_the_step_bound() {
+        // A matcher that runs every attempt until its DFA dies takes about
+        // n²/2 steps on these, far over 6·(n + 1).
+        for pattern in ["a*b", "a|a*b"] {
+            let case = RegexCase {
+                pattern: pattern.into(),
+                input: vec![b'a'; 1000],
+                cuts: vec![300, 700],
+            };
+            assert_eq!(check(&case), RegexOutcome::Clean, "{pattern}");
         }
     }
 

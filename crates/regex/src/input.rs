@@ -3,8 +3,8 @@
 //! Shards exist so the matcher can scan them in parallel, but matching
 //! semantics are defined over the *concatenation*: a match may start in
 //! one shard and end in another. [`ShardedInput`] provides absolute
-//! addressing over the concatenation plus a [`Cursor`] that walks bytes
-//! across shard boundaries without materializing the joined buffer.
+//! addressing over the concatenation without materializing the joined
+//! buffer.
 
 /// Borrowed shards viewed as one contiguous byte string.
 #[derive(Debug)]
@@ -43,52 +43,9 @@ impl<'a> ShardedInput<'a> {
         (self.starts[i], self.starts[i + 1])
     }
 
-    /// Byte iterator starting at absolute position `pos`.
-    pub fn cursor(&self, pos: usize) -> Cursor<'a, '_> {
-        debug_assert!(pos <= self.total_len());
-        // partition_point gives the first shard starting *after* pos; the
-        // shard containing pos is the one before it. Empty shards make
-        // several starts equal — skipping happens lazily in next().
-        let shard = self.starts.partition_point(|&s| s <= pos).saturating_sub(1);
-        Cursor {
-            input: self,
-            shard,
-            off: pos - self.starts[shard.min(self.shards.len().saturating_sub(1))],
-            at: pos,
-        }
-    }
-}
-
-/// Forward byte iterator over a [`ShardedInput`].
-pub struct Cursor<'a, 'b> {
-    input: &'b ShardedInput<'a>,
-    shard: usize,
-    off: usize,
-    at: usize,
-}
-
-impl Cursor<'_, '_> {
-    /// Absolute position of the next byte this cursor would yield.
-    pub fn pos(&self) -> usize {
-        self.at
-    }
-}
-
-impl Iterator for Cursor<'_, '_> {
-    type Item = u8;
-
-    #[inline]
-    fn next(&mut self) -> Option<u8> {
-        loop {
-            let s = self.input.shards.get(self.shard)?;
-            if let Some(&b) = s.get(self.off) {
-                self.off += 1;
-                self.at += 1;
-                return Some(b);
-            }
-            self.shard += 1;
-            self.off = 0;
-        }
+    /// The bytes of shard `i`.
+    pub fn shard(&self, i: usize) -> &'a [u8] {
+        self.shards[i]
     }
 }
 
@@ -105,12 +62,8 @@ mod tests {
         assert_eq!(inp.shard_bounds(1), (2, 2));
         assert_eq!(inp.shard_bounds(2), (2, 5));
         assert_eq!(inp.shard_bounds(3), (5, 6));
-        let all: Vec<u8> = inp.cursor(0).collect();
+        let all: Vec<u8> = (0..4).flat_map(|i| inp.shard(i).to_vec()).collect();
         assert_eq!(all, b"abcdef");
-        for p in 0..=6 {
-            let got: Vec<u8> = inp.cursor(p).collect();
-            assert_eq!(got, &b"abcdef"[p..], "cursor from {p}");
-        }
     }
 
     #[test]
@@ -118,10 +71,10 @@ mod tests {
         let shards: &[&[u8]] = &[];
         let inp = ShardedInput::new(shards);
         assert_eq!(inp.total_len(), 0);
-        assert_eq!(inp.cursor(0).next(), None);
+        assert_eq!(inp.shard_count(), 0);
         let shards2: &[&[u8]] = &[b"", b""];
         let inp2 = ShardedInput::new(shards2);
         assert_eq!(inp2.total_len(), 0);
-        assert_eq!(inp2.cursor(0).next(), None);
+        assert_eq!(inp2.shard_bounds(1), (0, 0));
     }
 }

@@ -10,9 +10,15 @@
 //! Pipeline: [`parser`] (literals, classes, `.` `*` `+` `?` `|`,
 //! grouping, `^` `$`) → [`nfa`] (Thompson construction) → [`meta`]
 //! (subset construction into a byte-class DFA with positional anchor
-//! handling) → [`matcher`] (sequential scan, plus a sharded scan that
-//! speculates per shard in parallel and stitches exactly — output is
-//! bit-identical at every thread count). [`naive`] is an independent
+//! handling) → [`matcher`]. The matcher is linear: a right-to-left pass
+//! over a lazily determinized *reverse* subset construction of the same
+//! NFA finds, at every offset, which NFA states can still reach a match,
+//! and the left-to-right forward walk steps the DFA only while it can,
+//! so each walk stops exactly at the longest match end and a scan costs
+//! O(n) DFA steps in memory bounded by a block size, never O(n²). Worker
+//! threads run both passes speculatively over contiguous runs of blocks
+//! and a sequential stitch reconciles them exactly — output is
+//! bit-identical at every thread count. [`naive`] is an independent
 //! AST-walking reference engine used as the differential-fuzzing oracle,
 //! and [`engine`] wraps compilation in the same content-addressed
 //! cache + singleflight discipline as `msc_engine`.
@@ -37,6 +43,7 @@
 
 pub mod engine;
 pub mod input;
+mod live;
 pub mod matcher;
 pub mod meta;
 pub mod naive;

@@ -17,6 +17,7 @@
 //!   accept strings the subset rejects — so the DFA keeps every distinct
 //!   set. A cap on distinct meta states bounds the blowup instead.
 
+use crate::live::LiveNfa;
 use crate::nfa::{Nfa, State};
 use msc_core::{SetArena, StateSet};
 use msc_ir::StateId;
@@ -51,6 +52,8 @@ pub struct MetaDfa {
     pub start_bof: u32,
     /// Start state for an attempt anywhere else, or [`DEAD`].
     pub start_mid: u32,
+    /// The reversed NFA the matcher's live pass runs over.
+    pub(crate) live: LiveNfa,
 }
 
 impl MetaDfa {
@@ -184,6 +187,7 @@ pub fn compile(nfa: &Nfa) -> Result<MetaDfa, TooComplex> {
 pub fn compile_with_limit(nfa: &Nfa, limit: usize) -> Result<MetaDfa, TooComplex> {
     let limit = limit.max(1);
     let (classes, nclasses, reps) = byte_classes(nfa);
+    let mut live = LiveNfa::new(nfa, &reps);
     let mut arena = SetArena::new();
 
     let intern_nonempty = |arena: &mut SetArena, set: StateSet| -> u32 {
@@ -206,6 +210,7 @@ pub fn compile_with_limit(nfa: &Nfa, limit: usize) -> Result<MetaDfa, TooComplex
     let mut i = 0usize;
     while i < arena.len() {
         let set = arena.get(msc_core::SetId(i as u32));
+        live.push_forward(set.iter().map(|s| s.0));
         accept_mid.push(
             set.iter()
                 .any(|s| matches!(nfa.states[s.0 as usize], State::Match)),
@@ -236,6 +241,7 @@ pub fn compile_with_limit(nfa: &Nfa, limit: usize) -> Result<MetaDfa, TooComplex
         accept_end,
         start_bof,
         start_mid,
+        live,
     })
 }
 

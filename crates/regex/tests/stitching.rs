@@ -7,8 +7,35 @@
 //! inputs are also checked against the independent naive engine, closing
 //! the loop between all three implementations.
 
-use msc_regex::{parser, Regex};
+use msc_regex::matcher::{scan, ScanLimits};
+use msc_regex::{parser, Regex, ShardedInput};
 use proptest::prelude::*;
+
+/// Linear work bound the matcher guarantees: forward plus reverse DFA
+/// steps per scan are at most `STEPS_PER_BYTE * (n + 1)` for `n` input
+/// bytes, at any thread count and any [`ScanLimits`].
+const STEPS_PER_BYTE: u64 = 6;
+
+/// Scan with explicit limits at 1, 2, 3 and 8 threads; every result must
+/// equal `want`, within the linear work bound.
+fn assert_scans(re: &Regex, shards: &[&[u8]], limits: ScanLimits, want: &[msc_regex::Match]) {
+    let input = ShardedInput::new(shards);
+    let n = input.total_len() as u64;
+    for threads in [1, 2, 3, 8] {
+        let (got, stats) = scan(re.dfa(), &input, threads, limits);
+        assert_eq!(
+            got,
+            want,
+            "pattern {:?}, {limits:?}, {threads} threads",
+            re.pattern()
+        );
+        assert!(
+            stats.steps() <= STEPS_PER_BYTE * (n + 1),
+            "pattern {:?}: {stats:?} over {n} bytes",
+            re.pattern()
+        );
+    }
+}
 
 /// Random syntactically valid pattern over a 3-letter alphabet, built
 /// constructively so every generated case exercises the matcher (not the
@@ -64,6 +91,8 @@ proptest! {
         pat in arb_pattern(),
         input in prop::collection::vec(0u8..6, 0..40),
         cuts in prop::collection::vec(0usize..64, 0..6),
+        block in 1usize..6,
+        live_cache in 1usize..4,
     ) {
         // Map the small byte range onto the pattern alphabet plus noise.
         let input: Vec<u8> = input
@@ -93,6 +122,10 @@ proptest! {
                 shards.iter().map(|s| s.len()).collect::<Vec<_>>()
             );
         }
+        // Tiny blocks and caches put block, segment and flush boundaries
+        // everywhere inside these short inputs.
+        let limits = ScanLimits { block, live_cache };
+        assert_scans(&re, &shards, limits, &sequential);
     }
 }
 
@@ -118,6 +151,43 @@ fn boundary_spanning_regressions() {
             );
         }
     }
+}
+
+/// The inputs a restart-per-byte matcher walks quadratically, cut into
+/// shards and scanned with small blocks, so matches and runs cross block,
+/// segment and shard boundaries. Each must agree with the naive engine.
+#[test]
+fn long_runs_stay_exact_across_blocks_and_shards() {
+    let tiny = ScanLimits {
+        block: 7,
+        live_cache: 2,
+    };
+    let run = vec![b'a'; 300];
+    let cuts = [50, 51, 190];
+    let mut mixed = run.clone();
+    for at in [40, 41, 120, 260] {
+        mixed[at] = b'b';
+    }
+    for (pat, text) in [
+        ("a|a*b", &run),   // overshoot family: every span is (i, i + 1)
+        ("a*b", &run),     // never matches
+        ("a|a*b", &mixed), // long spans across the cuts
+        ("a+b|ba*", &mixed),
+        ("(aa)+$", &run), // live set depends on the parity to the end
+    ] {
+        let re = Regex::new(pat).unwrap();
+        let want = re.find_all(text);
+        let naive: Vec<(usize, usize)> = want.iter().map(|m| (m.start, m.end)).collect();
+        assert_eq!(re.naive_find_all(text), naive, "pattern {pat:?}");
+        let shards = shard(text, &cuts);
+        for limits in [ScanLimits::default(), tiny] {
+            assert_scans(&re, &shards, limits, &want);
+        }
+    }
+    let re = Regex::new("a|a*b").unwrap();
+    let spans: Vec<(usize, usize)> = re.find_all(&run).iter().map(|m| (m.start, m.end)).collect();
+    assert_eq!(spans, (0..300).map(|i| (i, i + 1)).collect::<Vec<_>>());
+    assert!(Regex::new("a*b").unwrap().find_all(&run).is_empty());
 }
 
 /// The parser rejects what it should, end to end through `Regex::new`.

@@ -670,6 +670,33 @@ mod tests {
     }
 
     #[test]
+    fn hostile_match_input_returns_within_budget() {
+        // `a*b` over all-`a`: every start could still match, so running
+        // each attempt until its DFA dies costs about n²/2 = 10^11 steps
+        // here. A linear matcher answers in milliseconds.
+        let regex = RegexEngine::default();
+        let text = "a".repeat(512 << 10);
+        let shards = text
+            .as_bytes()
+            .chunks(64 << 10)
+            .map(|s| Json::from(std::str::from_utf8(s).expect("ASCII")))
+            .collect();
+        let v = Json::obj(vec![
+            ("pattern", Json::from("a*b")),
+            ("shards", Json::Arr(shards)),
+            ("threads", Json::from(2u64)),
+        ]);
+        let started = std::time::Instant::now();
+        let out = find_matches(&regex, &v).unwrap();
+        let took = started.elapsed();
+        assert_eq!(out.get("total_matches").unwrap().as_u64(), Some(0));
+        assert!(
+            took < std::time::Duration::from_secs(10),
+            "hostile /match took {took:?}"
+        );
+    }
+
+    #[test]
     fn match_second_request_hits_the_pattern_cache() {
         let regex = RegexEngine::default();
         let v = body(r#"{"pattern":"a+","shards":["aa"]}"#);
